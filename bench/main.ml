@@ -59,17 +59,59 @@ let matrix_mode = Array.exists (( = ) "--matrix") Sys.argv
 let churn_mode = Array.exists (( = ) "--churn") Sys.argv
 let profile_mode = Array.exists (( = ) "--profile") Sys.argv
 
+(* Bad input is rejected here, while the flags are read at start-up:
+   one line on stderr and exit 2, before anything is measured. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 let flag_value name =
   let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else find (i + 1)
+    if i >= Array.length Sys.argv then None
+    else if Sys.argv.(i) <> name then find (i + 1)
+    else if i + 1 < Array.length Sys.argv then Some Sys.argv.(i + 1)
+    else usage_error "%s needs a value" name
   in
   find 1
 
-let json_file = flag_value "--json"
-let export_prefix = flag_value "--export"
-let interval_s = Option.map float_of_string (flag_value "--interval")
+(* An output path is checked up front, so a typo cannot cost a whole
+   measured run. *)
+let output_path name =
+  let path = flag_value name in
+  Option.iter
+    (fun p ->
+      let dir = Filename.dirname p in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        usage_error "%s %s: directory %s does not exist" name p dir)
+    path;
+  path
+
+let json_file = output_path "--json"
+let export_prefix = output_path "--export"
+
+let interval_s =
+  match flag_value "--interval" with
+  | None -> None
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some x when x > 0. -> Some x
+      | _ -> usage_error "--interval %s: expected a positive number of seconds" s)
+
+let algos =
+  match flag_value "--algos" with
+  | None -> None
+  | Some s ->
+      let names = String.split_on_char ',' s in
+      List.iter
+        (fun a ->
+          match Vbl_harness.Sweep.find_real a with
+          | _ -> ()
+          | exception Invalid_argument _ -> usage_error "--algos: unknown algorithm %S" a)
+        names;
+      Some names
 
 let seed = 42L
 
@@ -856,11 +898,7 @@ let export_run prefix =
     trace_file
 
 let run_profile ~engine () =
-  let algorithms =
-    match flag_value "--algos" with
-    | Some s -> String.split_on_char ',' s
-    | None -> [ "vbl"; "vbl-sharded-8" ]
-  in
+  let algorithms = Option.value algos ~default:[ "vbl"; "vbl-sharded-8" ] in
   let threads = max 2 (min 4 (Domain.recommended_domain_count ())) in
   let update_percent = 50 and key_range = 512 in
   List.iter
@@ -890,11 +928,7 @@ let run_profile ~engine () =
 let metrics_threads = max 2 (min 4 (Domain.recommended_domain_count ()))
 
 let run_metrics_mode () =
-  let algorithms =
-    match flag_value "--algos" with
-    | Some s -> String.split_on_char ',' s
-    | None -> [ "vbl"; "lazy"; "harris-michael-tagged" ]
-  in
+  let algorithms = Option.value algos ~default:[ "vbl"; "lazy"; "harris-michael-tagged" ] in
   ignore
     (metrics_section ~algorithms ~threads:metrics_threads ~update_percent:20
        ~key_range:200 ~engine:real_engine ())

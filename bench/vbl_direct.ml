@@ -121,26 +121,25 @@ let rec contains_walk v curr =
 
 let contains t v = contains_walk v t.head
 
-(* Quiescent diagnostics, mirroring the functorised list so the module
-   satisfies Set_intf.S. *)
-let fold f init t =
+(* Diagnostics and range operations, mirroring the functorised list so
+   the module satisfies Set_intf.S. *)
+let fold_range lo hi f init t =
   let rec loop acc node =
     match node with
     | Tail -> acc
     | Node n ->
-        let keep = n.value <> min_int && not (Atomic.get n.deleted) in
-        let acc = if keep then f acc n.value else acc in
-        loop acc (Atomic.get n.next)
+        if n.value > hi then acc
+        else
+          let keep = lo <= n.value && n.value <> min_int && not (Atomic.get n.deleted) in
+          let acc = if keep then f acc n.value else acc in
+          loop acc (Atomic.get n.next)
   in
   loop init t.head
-
-let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-let size t = fold (fun acc _ -> acc + 1) 0 t
 
 include Vbl_lists.Set_intf.Derive (struct
   type nonrec t = t
 
-  let fold = fold
+  let fold_range = fold_range
 end)
 
 let check_invariants t =

@@ -222,25 +222,24 @@ module Make_vbl (K : VBL_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
     check_key v;
     contains_walk v t.head
 
-  let fold f init t =
+  let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n ->
           let v = M.get n.value in
-          let keep = v <> min_int && not (M.get n.deleted) in
-          let acc = if keep then f acc v else acc in
-          loop acc (M.get n.next)
+          if v > hi then acc
+          else
+            let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
+            let acc = if keep then f acc v else acc in
+            loop acc (M.get n.next)
     in
     loop init t.head
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =
@@ -418,25 +417,24 @@ module Make_lazy (K : LAZY_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_in
     check_key v;
     contains_walk v (M.get (next_cell_exn t.head))
 
-  let fold f init t =
+  let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n ->
           let v = M.get n.value in
-          let keep = v <> min_int && not (M.get n.marked) in
-          let acc = if keep then f acc v else acc in
-          loop acc (M.get n.next)
+          if v > hi then acc
+          else
+            let keep = lo <= v && v <> min_int && not (M.get n.marked) in
+            let acc = if keep then f acc v else acc in
+            loop acc (M.get n.next)
     in
     loop init t.head
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =
@@ -667,23 +665,26 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
     in
     attempt ()
 
-  let fold f init t =
+  let fold_range lo hi f init t =
     let rec go acc n =
-      let acc = match M.get n.left with Some c -> go acc c | None -> acc in
+      let k = n.key in
       let acc =
-        if n.key <> max_int && not (M.get n.deleted) then f acc n.key else acc
+        if lo < k then match M.get n.left with Some c -> go acc c | None -> acc
+        else acc
       in
-      match M.get n.right with Some c -> go acc c | None -> acc
+      let acc =
+        if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
+        else acc
+      in
+      if k < hi then match M.get n.right with Some c -> go acc c | None -> acc
+      else acc
     in
     go init t.root
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

@@ -60,7 +60,7 @@
     bracketed call sites are protected by inference — no tag needed;
     [\[@protected\]] asserts it for helpers the fixpoint cannot see
     (function pointers), and [\[@quiescent\]] marks single-threaded
-    observers ([fold], [check_invariants]) whose unbracketed reads are
+    observers ([check_invariants]) whose unbracketed reads are
     deliberate.
 
     {b L6 — retire/use discipline.}  Intraprocedural forward dataflow: a

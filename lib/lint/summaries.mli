@@ -20,7 +20,7 @@
       body or an unguarded call to a touching function.  A wrapper that
       opens its own bracket does {e not} touch, so calling it from
       anywhere is fine.  [\[@quiescent\]] bodies (single-threaded
-      observers: [fold], [check_invariants]) are exempt wholesale.
+      observers such as [check_invariants]) are exempt wholesale.
 
     L5 consumes both; L3 consumes the lock counts ([is_releaser]) and
     the [\[@acquires\]] tags ([is_acquires]) to shrink the annotation

@@ -222,7 +222,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let curr, _ = search_from ~below:below_leq v t.head in
     node_key curr = v && not (is_marked curr)
 
-  let fold f init t =
+  let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
@@ -233,19 +233,18 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             | Marked s -> (s, true)
           in
           let v = M.get n.key in
-          let keep = v <> min_int && not marked in
-          let acc = if keep then f acc v else acc in
-          loop acc succ
+          if v > hi then acc
+          else
+            let keep = lo <= v && v <> min_int && not marked in
+            let acc = if keep then f acc v else acc in
+            loop acc succ
     in
     loop init t.head
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

@@ -268,29 +268,37 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     end
     else contains_start t v
 
-  (* Quiescent observers: callers guarantee no concurrent mutators, so
-     these read outside any epoch bracket — [@quiescent] records that
-     for L5. *)
-  let[@quiescent] fold f init t =
+  let fold_walk lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n ->
           let pair = M.get n.amr in
           let v = M.get n.value in
-          let keep = v <> min_int && not pair.p_marked in
-          let acc = if keep then f acc v else acc in
-          loop acc pair.p_next
+          if v > hi then acc
+          else
+            let keep = lo <= v && v <> min_int && not pair.p_marked in
+            let acc = if keep then f acc v else acc in
+            loop acc pair.p_next
     in
     loop init t.head
 
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
+  (* The walk may be parked on a node a concurrent remove retires, so on
+     a reclaiming backend it runs inside one epoch bracket, closed even
+     when [f] raises. *)
+  let fold_range lo hi f init t =
+    if M.reclaiming then begin
+      let h = M.op_enter t.pool in
+      Fun.protect
+        ~finally:(fun () -> M.op_exit t.pool h)
+        (fun () -> fold_walk lo hi f init t)
+    end
+    else fold_walk lo hi f init t
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let[@quiescent] check_invariants t =

@@ -49,10 +49,13 @@ module type S = sig
       walk takes no locks and applies the algorithm's own notion of
       presence, so under concurrent updates it sees some interleaving of
       them (each visited value was present at the moment its node was
-      read).  At quiescence it is exact. *)
+      read).  At quiescence it is exact.  On reclaiming backends the
+      walk runs inside one epoch bracket, and brackets do not nest, so
+      [f] must not call back into a reclaiming set (see {!Derive}). *)
 
   val iter : (int -> unit) -> t -> unit
-  (** [fold]-derived ordered iteration over the present values. *)
+  (** [fold]-derived ordered iteration over the present values; the same
+      callback restriction applies. *)
 
   val range_query : t -> int -> int -> int list
   (** [range_query t lo hi] returns the present values in the inclusive
@@ -67,7 +70,9 @@ module type S = sig
       result can be a window that no single instant ever contained, and
       an agreeing result is indistinguishable from one returned because
       the retry budget ran out.  Each implementation documents which
-      contract it provides. *)
+      contract it provides.  Each collection visits only the window's
+      neighbourhood: O(depth + k) nodes on the BSTs, and the nodes up to
+      the position of [hi] on the lists and skiplists. *)
 
   val approx_size : t -> int
   (** A cheap, possibly stale cardinality estimate.  Exact at
@@ -81,7 +86,27 @@ end
     control ({!Instr_mem}). *)
 module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
 
-(** Derives the range operations from a presence-aware ascending [fold].
+(** Derives the traversal operations from one presence-aware ascending
+    window fold, [Base.fold_range lo hi f init t], which folds [f] over
+    the present values in the inclusive window [[lo, hi]] in ascending
+    order and never yields a sentinel, whatever the window.  [fold],
+    [iter], [to_list], [size] and [approx_size] are the whole window
+    [[min_int, max_int]]; [range_query] collects [[lo, hi]].
+
+    {b Cost.}  Each family visits only what can hold a key of the
+    window: the BSTs descend only into subtrees whose key range meets
+    [[lo, hi]], so a collection costs O(depth + k) for [k] keys in the
+    window; the lists (and the skiplists, on their bottom level) walk
+    from the head and stop at the first key above [hi], so a collection
+    costs up to the position of [hi].
+
+    {b Reclaiming backends.}  On a backend with [M.reclaiming] the
+    lists run the whole window walk inside one epoch bracket
+    ([M.op_enter]/[M.op_exit]), so no node the walk can reach is
+    recycled under it.  Epoch brackets do not nest: a callback passed
+    to [fold], [iter] or [fold_range] must not call back into a set on
+    a reclaiming backend — the inner operation's exit would end the
+    outer walk's protection.
 
     [range_query] uses the double-collect discipline: collect the window,
     collect it again, retry until two successive collections agree.
@@ -108,16 +133,18 @@ module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
 module Derive (Base : sig
   type t
 
-  val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
+  val fold_range : int -> int -> ('a -> int -> 'a) -> 'a -> t -> 'a
 end) =
 struct
-  let iter f t = Base.fold (fun () v -> f v) () t
-  let approx_size t = Base.fold (fun n _ -> n + 1) 0 t
+  let fold f init t = Base.fold_range min_int max_int f init t
+  let iter f t = fold (fun () v -> f v) () t
+  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
+  let size t = fold (fun n _ -> n + 1) 0 t
+  let approx_size = size
 
   (* Descending collection (no final reverse) — cheaper to compare across
      retries; reversed once on acceptance. *)
-  let collect t lo hi =
-    Base.fold (fun acc v -> if lo <= v && v <= hi then v :: acc else acc) [] t
+  let collect t lo hi = Base.fold_range lo hi (fun acc v -> v :: acc) [] t
 
   let stabilize_budget = 64
 

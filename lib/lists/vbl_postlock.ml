@@ -145,25 +145,24 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     loop t.head
 
-  let fold f init t =
+  let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n ->
           let v = M.get n.value in
-          let keep = v <> min_int && not (M.get n.deleted) in
-          let acc = if keep then f acc v else acc in
-          loop acc (M.get n.next)
+          if v > hi then acc
+          else
+            let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
+            let acc = if keep then f acc v else acc in
+            loop acc (M.get n.next)
     in
     loop init t.head
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

@@ -253,27 +253,26 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     done;
     node_value !curr = v
 
-  let fold f init t =
+  let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n -> (
           let v = M.get n.value in
-          match M.get n.next.(0) with
-          | Live succ ->
-              let acc = if v <> min_int then f acc v else acc in
-              loop acc succ
-          | Marked succ -> loop acc succ)
+          if v > hi then acc
+          else
+            match M.get n.next.(0) with
+            | Live succ ->
+                let acc = if lo <= v && v <> min_int then f acc v else acc in
+                loop acc succ
+            | Marked succ -> loop acc succ)
     in
     loop init t.head
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

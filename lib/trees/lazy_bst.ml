@@ -181,25 +181,27 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let _, _, l = locate t v in
     leaf_value l = v
 
-  let fold f init t =
+  (* In-order over the leaves of [lo, hi]: values below a router's key
+     route left and the rest right, so a subtree is entered only if it
+     can hold a value of the window, and a window costs O(depth + k).
+     Sentinel leaves contribute nothing. *)
+  let fold_range lo hi f init t =
     let rec go acc node =
       match node with
       | Leaf l ->
           let v = M.get l.value in
-          if v = min_int || v = max_int then acc else f acc v
+          if lo <= v && v <= hi && v <> min_int && v <> max_int then f acc v else acc
       | Router r ->
-          let acc = go acc (M.get r.left) in
-          go acc (M.get r.right)
+          let k = M.get r.key in
+          let acc = if lo < k then go acc (M.get r.left) else acc in
+          if k <= hi then go acc (M.get r.right) else acc
     in
     go init t.root
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

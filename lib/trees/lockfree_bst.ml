@@ -27,8 +27,11 @@
 
     Structure, sentinels and naming follow {!Seq_bst} (["R<key>"]
     internal nodes; leaves are immutable and unnamed cells-wise).  Range
-    operations derive from the shared double-collect and carry its
-    family-wide best-effort contract: agreement of two collections is a
+    operations derive from the shared double-collect over a window fold
+    that, like [contains], reads only immutable keys and child pointers
+    and enters only subtrees that can hold a value of [[lo, hi]], so a
+    collection costs O(depth + k).  They carry the family-wide
+    best-effort contract: agreement of two collections is a
     stabilisation heuristic, not a snapshot certificate, and under churn
     the budget may expire and return the last collection. *)
 
@@ -268,22 +271,25 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     in
     attempt ()
 
-  let fold f init t =
+  (* In-order over the leaves of [lo, hi]: values below an internal
+     node's key route left and the rest right, so a subtree is entered
+     only if it can hold a value of the window, and a window costs
+     O(depth + k).  Sentinel leaves contribute nothing. *)
+  let fold_range lo hi f init t =
     let rec go acc n =
       match n with
-      | Leaf l ->
-          if l.value = min_int || l.value = max_int then acc else f acc l.value
-      | Internal i -> go (go acc (M.get i.left)) (M.get i.right)
+      | Leaf { value = v } ->
+          if lo <= v && v <= hi && v <> min_int && v <> max_int then f acc v else acc
+      | Internal i ->
+          let acc = if lo < i.key then go acc (M.get i.left) else acc in
+          if i.key <= hi then go acc (M.get i.right) else acc
     in
     go init t.root_node
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

@@ -27,8 +27,14 @@
       tree locks in ancestor order; a failed validation just leaves the
       routing node behind.
 
-    Range operations come from {!Vbl_lists.Set_intf.Derive}'s
-    double-collect and carry its family-wide best-effort contract:
+    Range operations come from {!Vbl_lists.Set_intf.Derive} over a
+    window fold bounded to [[lo, hi]]: like [contains], it is a
+    wait-free descent reading only immutable keys, child pointers and
+    the [deleted] flags of in-window nodes, and it enters only subtrees
+    whose key range meets the window, so a collection costs
+    O(depth + k) rather than a whole-tree walk.  Splices move subtrees
+    up intact, so pruning never skips a key that is in the window.
+    The double-collect carries the family-wide best-effort contract:
     presence here flips with a single [deleted]-flag write or a single
     child-pointer link, so each collected value was present at the
     moment its node was read, but two agreeing collections do not
@@ -231,25 +237,31 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     in
     attempt ()
 
-  (* In-order over live keys; deleted routing nodes are skipped, the
-     sentinel contributes nothing. *)
-  let fold f init t =
+  (* In-order over the live keys of [lo, hi]: a subtree is entered only
+     if its key range can meet the window (keys left of [n] are below
+     [n.key], keys right of it above), so a window costs O(depth + k).
+     Deleted routing nodes are skipped, the sentinel contributes
+     nothing. *)
+  let fold_range lo hi f init t =
     let rec go acc n =
-      let acc = match M.get n.left with Some c -> go acc c | None -> acc in
+      let k = n.key in
       let acc =
-        if n.key <> max_int && not (M.get n.deleted) then f acc n.key else acc
+        if lo < k then match M.get n.left with Some c -> go acc c | None -> acc
+        else acc
       in
-      match M.get n.right with Some c -> go acc c | None -> acc
+      let acc =
+        if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
+        else acc
+      in
+      if k < hi then match M.get n.right with Some c -> go acc c | None -> acc
+      else acc
     in
     go init t.root
-
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun acc _ -> acc + 1) 0 t
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold = fold
+    let fold_range = fold_range
   end)
 
   let check_invariants t =

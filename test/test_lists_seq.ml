@@ -141,25 +141,29 @@ let property_tests (impl : Vbl_lists.Registry.impl) =
   ]
 
 (* Set_intf.Derive semantics, pinned against a scripted base whose
-   successive folds replay fixed views (the last view repeats once the
-   script runs out).  The first case is the reason the derived
-   range_query documents a best-effort contract for every family:
+   successive window folds replay fixed views (the last view repeats once
+   the script runs out), filtered to the asked window, and which records
+   every window it is asked for.  The first case is the reason the
+   derived range_query documents a best-effort contract for every family:
    agreement of two collections is not a snapshot certificate, because
    an ABA toggle between them restores agreement.  test_spec.ml holds
    the matching Multikey rejection of the full history. *)
 module Scripted = struct
-  type t = int list list ref
+  type t = { mutable views : int list list; mutable windows : (int * int) list }
 
-  let fold f init t =
+  let make views = { views; windows = [] }
+
+  let fold_range lo hi f init t =
+    t.windows <- (lo, hi) :: t.windows;
     let view =
-      match !t with
+      match t.views with
       | [] -> []
       | [ v ] -> v
       | v :: rest ->
-          t := rest;
+          t.views <- rest;
           v
     in
-    List.fold_left f init view
+    List.fold_left (fun acc v -> if lo <= v && v <= hi then f acc v else acc) init view
 end
 
 module Scripted_range = Vbl_lists.Set_intf.Derive (Scripted)
@@ -173,12 +177,12 @@ let derive_tests =
            collections, each traversal reads 1 before a toggle and 2
            after one, so both collect [1; 2] — a window {1, 2} that no
            instant ever contained — and the query accepts it. *)
-        let t = ref [ [ 1; 2 ]; [ 1; 2 ] ] in
+        let t = Scripted.make [ [ 1; 2 ]; [ 1; 2 ] ] in
         Alcotest.(check (list int))
           "torn view accepted" [ 1; 2 ]
           (Scripted_range.range_query t 1 2));
     Alcotest.test_case "disagreement retries until stable" `Quick (fun () ->
-        let t = ref [ [ 1 ]; [ 2 ]; [ 2 ] ] in
+        let t = Scripted.make [ [ 1 ]; [ 2 ]; [ 2 ] ] in
         Alcotest.(check (list int))
           "stable view" [ 2 ]
           (Scripted_range.range_query t 0 5));
@@ -189,17 +193,31 @@ let derive_tests =
            returns the last collection (the documented, deliberately
            unsurfaced degradation). *)
         let t =
-          ref (List.init 68 (fun i -> if i mod 2 = 0 then [ 1 ] else [ 2 ]))
+          Scripted.make (List.init 68 (fun i -> if i mod 2 = 0 then [ 1 ] else [ 2 ]))
         in
         Alcotest.(check (list int))
           "last collection" [ 2 ]
-          (Scripted_range.range_query t 0 5));
+          (Scripted_range.range_query t 0 5);
+        Alcotest.(check int) "two collections plus 64 retries" 66
+          (List.length t.Scripted.windows));
     Alcotest.test_case "collections filter to the window" `Quick (fun () ->
-        let t = ref [ [ 1; 3; 5; 7 ] ] in
+        let t = Scripted.make [ [ 1; 3; 5; 7 ] ] in
         Alcotest.(check (list int))
           "window" [ 3; 5 ]
           (Scripted_range.range_query t 2 6);
-        Alcotest.(check int) "approx_size" 4 (Scripted_range.approx_size t));
+        Alcotest.(check (list (pair int int)))
+          "two collections of [2, 6]" [ (2, 6); (2, 6) ] t.Scripted.windows;
+        t.Scripted.windows <- [];
+        Alcotest.(check int) "approx_size" 4 (Scripted_range.approx_size t);
+        Alcotest.(check (list int)) "to_list" [ 1; 3; 5; 7 ] (Scripted_range.to_list t);
+        Alcotest.(check (list (pair int int)))
+          "whole-set traversals ask for [min_int, max_int]"
+          [ (min_int, max_int); (min_int, max_int) ]
+          t.Scripted.windows;
+        t.Scripted.windows <- [];
+        Alcotest.(check (list int)) "inverted bounds" [] (Scripted_range.range_query t 5 3);
+        Alcotest.(check int) "inverted bounds never traverse" 0
+          (List.length t.Scripted.windows));
   ]
 
 let () =

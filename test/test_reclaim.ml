@@ -96,6 +96,61 @@ let real_cases =
         plain_backend_never_retires;
     ]
 
+(* A fold parked across a grace period.  One domain folds over keys
+   1..20 and parks inside its callback at key 1, its walk standing on
+   node 1.  Another domain removes 1, runs 400 insert/remove pairs so
+   the epoch advances and limbo ages out, then inserts 600 fresh keys
+   that recycle the retired nodes.  An unbracketed walk resumes on node
+   1 reinitialized as some key above 1000 and skips every untouched key
+   2..20; inside the fold's epoch bracket node 1 stays in limbo until
+   the walk leaves it. *)
+let parked_fold_sees_untouched_keys name () =
+  let module S = (val Reg.find_exn name : Vbl_lists.Set_intf.S) in
+  let t = S.create () in
+  for v = 1 to 20 do
+    ignore (S.insert t v : bool)
+  done;
+  let parked = Atomic.make false and released = Atomic.make false in
+  let folder =
+    Domain.spawn (fun () ->
+        S.fold
+          (fun acc v ->
+            if v = 1 then begin
+              Atomic.set parked true;
+              while not (Atomic.get released) do
+                Domain.cpu_relax ()
+              done
+            end;
+            v :: acc)
+          [] t)
+  in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set released true)
+    (fun () ->
+      while not (Atomic.get parked) do
+        Domain.cpu_relax ()
+      done;
+      ignore (S.remove t 1 : bool);
+      for _ = 1 to 400 do
+        ignore (S.insert t 1000 : bool);
+        ignore (S.remove t 1000 : bool)
+      done;
+      for v = 1001 to 1600 do
+        ignore (S.insert t v : bool)
+      done);
+  let seen = Domain.join folder in
+  Alcotest.(check (list int))
+    "untouched keys 2..20 the parked fold missed" []
+    (List.filter (fun v -> not (List.mem v seen)) (List.init 19 (fun i -> i + 2)))
+
+let real_cases =
+  real_cases
+  @ List.map
+      (fun name ->
+        Alcotest.test_case (name ^ ": fold parked across a grace period") `Quick
+          (parked_fold_sees_untouched_keys name))
+      [ "vbl-reclaim"; "lazy-reclaim"; "harris-michael-reclaim" ]
+
 (* ------------------------------------------------------------------ *)
 (* Instrumented backend: DPOR over the epoch protocol.                 *)
 (* ------------------------------------------------------------------ *)

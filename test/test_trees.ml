@@ -58,8 +58,8 @@ let unit_tests (impl : Vbl_trees.Registry.impl) =
           (fun () -> ignore (S.insert t min_int)));
   ]
 
-(* Range-operation semantics, derived for every implementation from the
-   presence-aware ascending fold (Set_intf.Derive). *)
+(* Range-operation semantics, derived for every implementation from its
+   pruned, presence-aware window fold (Set_intf.Derive). *)
 let range_tests (impl : Vbl_trees.Registry.impl) =
   let module S = (val impl) in
   let mk name fn = Alcotest.test_case (S.name ^ ": " ^ name) `Quick fn in
@@ -199,6 +199,22 @@ let range_explore_tests =
       (module Vbl_trees.Registry.Coarse_bst_i)
       [ 2 ] (1, 3)
       [ Vbl_sched.Ll_abstract.insert 1; Vbl_sched.Ll_abstract.remove 2 ];
+    (* The external trees' routers are what the pruned descent skips:
+       removing 1 splices its router while inserting 2 grows one. *)
+    range_ok "lazy-bst"
+      (module Vbl_trees.Registry.Lazy_bst_i)
+      [ 1; 3 ] (1, 3)
+      [ Vbl_sched.Ll_abstract.remove 1; Vbl_sched.Ll_abstract.insert 2 ];
+    range_ok "lockfree-bst"
+      (module Vbl_trees.Registry.Lockfree_bst_i)
+      [ 1; 3 ] (1, 3)
+      [ Vbl_sched.Ll_abstract.remove 1; Vbl_sched.Ll_abstract.insert 2 ];
+    (* The window [3, 3] sits below node 2, which the remove splices out
+       while the insert tries to link 1 under it. *)
+    range_ok "vbl-bst spliced ancestor"
+      (module Vbl_trees.Registry.Vbl_bst_i)
+      [ 2; 3 ] (3, 3)
+      [ Vbl_sched.Ll_abstract.remove 2; Vbl_sched.Ll_abstract.insert 1 ];
     Alcotest.test_case "sequential-bst range caught (canary)" `Slow (fun () ->
         let scenario =
           Vbl_sched.Drive.explore_range_scenario
