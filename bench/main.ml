@@ -5,7 +5,8 @@
 
      1. Bechamel microbenchmarks — one Test.make group per figure/ablation:
           fig1-ops / fig4-ops      per-op latency on the paper's workloads
-          ablation-functor         functorised VBL vs hand-specialised VBL
+          ablation-functor         VBL through the MEM functor vs the
+                                   build-time instance vs hand-specialised
           ablation-marks           mark encodings (flag / AMR / tagged)
           skiplist-ops / bst-ops   the extension families
      2. Figure 1 — Lazy vs VBL thread sweep (simulated engine + real).
@@ -27,10 +28,10 @@
           --smoke                  tiny metrics+trace exercise for CI
           --matrix [--json FILE]   real-engine scaling matrix
                                    (threads x update%% x key range) over the
-                                   measured algorithms plus the vbl-direct
-                                   ablation baseline and the reclamation
-                                   on/off churn ablation; JSON in the
-                                   BENCH_*.json schema
+                                   measured algorithms plus the MEM-functor
+                                   ablation (vbl-dispatch, vbl-direct) and
+                                   the reclamation on/off churn ablation;
+                                   JSON in the BENCH_*.json schema
           --churn [--json FILE]    churn preset: update-heavy traffic on a
                                    small key range, each algorithm with
                                    reclamation off and on — throughput,
@@ -145,18 +146,16 @@ let contains_test ~range (impl : Vbl_lists.Registry.impl) =
   Test.make ~name:S.name
     (Staged.stage (fun () -> ignore (S.contains t (1 + Vbl_util.Rng.int rng range))))
 
-let vbl_direct_test ~range =
-  let t = Vbl_direct.create () in
-  let rng = Vbl_util.Rng.create ~seed () in
-  for v = 1 to range do
-    if Vbl_util.Rng.bool rng then ignore (Vbl_direct.insert t v)
-  done;
-  Test.make ~name:"vbl-direct"
-    (Staged.stage (fun () ->
-         let v = 1 + Vbl_util.Rng.int rng range in
-         ignore (Vbl_direct.insert t v);
-         ignore (Vbl_direct.contains t (1 + Vbl_util.Rng.int rng range));
-         ignore (Vbl_direct.remove t v)))
+(* VBL applied through the MEM functor, as the instrumented backends run
+   it: every shared access is a call through the functor argument.  The
+   registry's [vbl] is the build-time instance of the same source (no
+   dispatch), and vbl-direct the hand-specialised copy; the three rows
+   of the functor ablation price the layer. *)
+module Vbl_dispatch = struct
+  include Vbl_lists.Vbl_list.Make (Vbl_memops.Real_mem)
+
+  let name = "vbl-dispatch"
+end
 
 let micro_groups () =
   let measured = Vbl_lists.Registry.measured in
@@ -168,7 +167,11 @@ let micro_groups () =
     Test.make_grouped ~name:"fig4-ops"
       (List.map (ops_test ~range:2_000) (measured @ [ hm_amr ]));
     Test.make_grouped ~name:"ablation-functor"
-      [ ops_test ~range:200 vbl; vbl_direct_test ~range:200 ];
+      [
+        ops_test ~range:200 (module Vbl_dispatch);
+        ops_test ~range:200 vbl;
+        ops_test ~range:200 (module Vbl_direct);
+      ];
     Test.make_grouped ~name:"ablation-marks"
       (List.map (contains_test ~range:200) [ vbl; hm_amr; hm_tagged ]);
     Test.make_grouped ~name:"skiplist-ops"
@@ -436,14 +439,17 @@ let ablation_sweep () =
 (* Scaling matrix (--matrix [--json FILE])                             *)
 (* ------------------------------------------------------------------ *)
 
-let vbl_direct_impl : (module Vbl_lists.Set_intf.S) = (module Vbl_direct)
+(* The MEM-functor ablation rows, measured beside the registry's [vbl] in
+   every cell: the same source through functor dispatch, and the
+   hand-specialised copy. *)
+let functor_ablation : (string * (module Vbl_lists.Set_intf.S)) list =
+  [ ("vbl-dispatch", (module Vbl_dispatch)); ("vbl-direct", (module Vbl_direct)) ]
 
 (* The real-engine scaling matrix: every measured algorithm (plus the
-   AMR Harris-Michael and the hand-specialised vbl-direct ablation
-   baseline) at every host thread count, update ratio and key range.
-   Counters and latency are collected as in --metrics so the JSON matches
-   the BENCH_*.json schema of earlier snapshots and bench/compare_bench
-   can diff two of them. *)
+   AMR Harris-Michael and the functor-ablation rows) at every host thread
+   count, update ratio and key range.  Counters and latency are
+   collected as in --metrics so the JSON matches the BENCH_*.json schema
+   of earlier snapshots and bench/compare_bench can diff two of them. *)
 let matrix_algorithms =
   [
     "vbl";
@@ -490,18 +496,24 @@ let run_matrix () =
                     (Vbl_harness.Sweep.measure ~metrics:true real_engine ~algorithm
                        ~threads ~update_percent ~key_range ~seed))
                 matrix_algorithms;
-              record
-                (Vbl_harness.Sweep.measure_impl ~metrics:true real_engine vbl_direct_impl
-                   ~algorithm:"vbl-direct" ~threads ~update_percent ~key_range ~seed))
+              List.iter
+                (fun (algorithm, impl) ->
+                  record
+                    (Vbl_harness.Sweep.measure_impl ~metrics:true real_engine impl ~algorithm
+                       ~threads ~update_percent ~key_range ~seed))
+                functor_ablation)
             real_threads)
         matrix_updates)
     matrix_ranges;
   let points = List.rev !points in
   print_newline ();
-  (* Ablation: what the functor-over-MEM architecture costs the VBL hot
-     path, per workload cell.  Positive overhead means the hand-specialised
-     baseline is faster. *)
-  print_endline "== Ablation: functorised vbl vs hand-specialised vbl-direct ==";
+  (* Ablation: what the functor-over-MEM layer costs the VBL hot path,
+     per workload cell.  "dispatch" is the cost of calling the backend
+     through the functor argument (vbl-dispatch against the build-time
+     instance [vbl]); "vs direct" is what is left between the instance
+     and the hand-specialised copy.  Positive means the faster row wins
+     by that much. *)
+  print_endline "== Ablation: MEM functor dispatch vs build-time instance vs vbl-direct ==";
   print_newline ();
   let find algo threads update range =
     List.find_opt
@@ -512,9 +524,30 @@ let run_matrix () =
         && p.Vbl_harness.Sweep.key_range = range)
       points
   in
+  let overheads threads update range =
+    match
+      ( find "vbl-dispatch" threads update range,
+        find "vbl" threads update range,
+        find "vbl-direct" threads update range )
+    with
+    | Some pf, Some pv, Some pd ->
+        let mean = Vbl_harness.Sweep.point_mean in
+        let mf = mean pf and mv = mean pv and md = mean pd in
+        Some (mf, mv, md, (mv -. mf) /. mv *. 100., (md -. mv) /. md *. 100.)
+    | _ -> None
+  in
   let table =
     Vbl_util.Table.create
-      [ "threads"; "update%"; "range"; "vbl (ops/s)"; "vbl-direct (ops/s)"; "overhead" ]
+      [
+        "threads";
+        "update%";
+        "range";
+        "vbl-dispatch (ops/s)";
+        "vbl (ops/s)";
+        "vbl-direct (ops/s)";
+        "dispatch";
+        "vs direct";
+      ]
   in
   List.iter
     (fun range ->
@@ -522,32 +555,31 @@ let run_matrix () =
         (fun update ->
           List.iter
             (fun threads ->
-              match (find "vbl" threads update range, find "vbl-direct" threads update range) with
-              | Some pv, Some pd ->
-                  let mv = Vbl_harness.Sweep.point_mean pv
-                  and md = Vbl_harness.Sweep.point_mean pd in
+              match overheads threads update range with
+              | Some (mf, mv, md, dispatch, residual) ->
                   Vbl_util.Table.add_row table
                     [
                       string_of_int threads;
                       string_of_int update;
                       string_of_int range;
+                      Vbl_util.Table.si_cell mf;
                       Vbl_util.Table.si_cell mv;
                       Vbl_util.Table.si_cell md;
-                      Printf.sprintf "%+.1f%%" ((md -. mv) /. md *. 100.);
+                      Printf.sprintf "%+.1f%%" dispatch;
+                      Printf.sprintf "%+.1f%%" residual;
                     ]
-              | _ -> ())
+              | None -> ())
             real_threads)
         matrix_updates)
     matrix_ranges;
   print_endline (Vbl_util.Table.render table);
-  (match (find "vbl" 2 20 200, find "vbl-direct" 2 20 200) with
-  | Some pv, Some pd ->
-      let mv = Vbl_harness.Sweep.point_mean pv
-      and md = Vbl_harness.Sweep.point_mean pd in
+  (match overheads 2 20 200 with
+  | Some (_, _, _, dispatch, residual) ->
       Printf.printf
-        "\nheadline cell (2 threads, 20%% updates, range 200): functor overhead %+.1f%%\n"
-        ((md -. mv) /. md *. 100.)
-  | _ -> ());
+        "\nheadline cell (2 threads, 20%% updates, range 200): functor dispatch %+.1f%%, \
+         build-time instance vs vbl-direct %+.1f%%\n"
+        dispatch residual
+  | None -> ());
   print_newline ();
   points
 
@@ -787,7 +819,7 @@ let run_churn () =
   print_newline ();
   List.rev !points
 
-(* vbl-direct must agree with the functorised vbl on every operation
+(* vbl-direct must agree with the registry vbl on every operation
    result — the ablation is meaningless if the baseline drifts.  Driven
    under --smoke so `dune runtest` asserts it. *)
 let direct_parity () =

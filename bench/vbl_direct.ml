@@ -1,12 +1,12 @@
 (* Ablation baseline: the VBL algorithm hand-specialised to Atomic.t, with
-   no memory-backend functor in the way.  Comparing this against
-   Vbl_lists.Registry.Vbl in the microbenchmarks and in the scaling matrix
-   quantifies the overhead of the functor-over-MEM architecture
-   (DESIGN.md §5) — the indirection is uniform across algorithms, but it
-   should also be small in absolute terms, and this measures it.
+   no memory-backend abstraction in the way.  The functor ablation in the
+   microbenchmarks and the scaling matrix times three rows: VBL through
+   functor dispatch, Vbl_lists.Registry.Vbl (the build-time instance of
+   the same source, DESIGN.md §5) and this copy, which prices whatever
+   the abstraction still costs once the dispatch is gone.
 
    The hot paths use the same closed top-level recursions as the
-   functorised list (see lib/lists/vbl_list.ml): without flambda a
+   shared list source (see lib/lists/vbl_list.ml): without flambda a
    tuple-returning traversal or a capturing closure allocates per
    operation, which would contaminate the ablation with allocator noise.
 
@@ -121,7 +121,7 @@ let rec contains_walk v curr =
 
 let contains t v = contains_walk v t.head
 
-(* Diagnostics and range operations, mirroring the functorised list so
+(* Diagnostics and range operations, mirroring the shared list source so
    the module satisfies Set_intf.S. *)
 let fold_range lo hi f init t =
   let rec loop acc node =

@@ -285,6 +285,19 @@ let run algo threads update range duration warmup trials seed horizon engine csv
     Printf.eprintf "--export requires --profile (nothing to export otherwise)\n";
     exit 2
   end;
+  (* Output paths are checked before anything is measured, so a typo in
+     a directory cannot cost a whole run. *)
+  List.iter
+    (fun (flag, path) ->
+      Option.iter
+        (fun p ->
+          let dir = Filename.dirname p in
+          if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+            Printf.eprintf "%s %s: directory %s does not exist\n" flag p dir;
+            exit 2
+          end)
+        path)
+    [ ("--metrics-json", metrics_json); ("--trace-json", trace_json); ("--export", export) ];
   (* The shard axis maps each count s to ALGO-sharded-s (1 = the base
      algorithm), so one invocation sweeps an algorithm's sharded frontends
      alongside it. *)

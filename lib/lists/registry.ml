@@ -2,39 +2,41 @@
     (Atomic) backend.  This is what the CLI, the examples and the benchmark
     harness select implementations from. *)
 
-module R = Vbl_memops.Real_mem
-module RR = Vbl_memops.Reclaim_mem
+(* Every entry is a direct instance generated at build time from its
+   algorithm's one source (specialised/dune): the functor body with [M]
+   bound to the backend, so hot paths call [Real_mem]/[Reclaim_mem]
+   statically rather than through a functor argument.  The functors stay
+   the only source, and the instrumented backends still apply them. *)
 
-module Sequential = Seq_list.Make (R)
-module Coarse = Coarse_list.Make (R)
-module Hand_over_hand = Hoh_list.Make (R)
-module Optimistic = Optimistic_list.Make (R)
-module Lazy = Lazy_list.Make (R)
-module Harris_michael_amr = Harris_michael.Make (R)
-module Harris_michael_rtti = Harris_michael_tagged.Make (R)
-module Fomitchev_ruppert_list = Fomitchev_ruppert.Make (R)
-module Vbl = Vbl_list.Make (R)
-module Vbl_postlock_ablation = Vbl_postlock.Make (R)
-module Vbl_versioned_variant = Vbl_versioned.Make (R)
+module Sequential = Real_seq_list
+module Coarse = Real_coarse_list
+module Hand_over_hand = Real_hoh_list
+module Optimistic = Real_optimistic_list
+module Lazy = Real_lazy_list
+module Harris_michael_amr = Real_harris_michael
+module Harris_michael_rtti = Real_harris_michael_tagged
+module Fomitchev_ruppert_list = Real_fomitchev_ruppert
+module Vbl = Real_vbl_list
+module Vbl_postlock_ablation = Real_vbl_postlock
+module Vbl_versioned_variant = Real_vbl_versioned
 
-(* Reclaiming variants: the same algorithm sources instantiated on the
-   epoch-based reclamation backend.  Node unlinks feed per-domain limbo
-   bags and the insert hot path recycles aged-out nodes instead of
-   allocating. *)
+(* Reclaiming variants: the same algorithm sources on the epoch-based
+   reclamation backend.  Node unlinks feed per-domain limbo bags and the
+   insert hot path recycles aged-out nodes instead of allocating. *)
 module Lazy_reclaim = struct
-  include Lazy_list.Make (RR)
+  include Reclaim_lazy_list
 
   let name = "lazy-reclaim"
 end
 
 module Harris_michael_reclaim = struct
-  include Harris_michael.Make (RR)
+  include Reclaim_harris_michael
 
   let name = "harris-michael-reclaim"
 end
 
 module Vbl_reclaim = struct
-  include Vbl_list.Make (RR)
+  include Reclaim_vbl_list
 
   let name = "vbl-reclaim"
 end

@@ -4,10 +4,11 @@
 
     [named = false]: algorithms skip name construction entirely, so a
     node's creation allocates exactly its cells and nothing else.  The
-    accessors are [@inline]-annotated single primitives, letting the
-    compiler collapse them into the callers once a functor body is
-    specialised (flambda collapses the whole indirection; classic mode
-    still turns them into direct known calls). *)
+    accessors are [@inline]-annotated single primitives.  The registry
+    sets are build-time instances with [M] bound to this module
+    statically (lib/*/specialised), so even classic ocamlopt inlines the
+    accessors into their traversals; code that applies a functor to this
+    module calls them through the functor argument instead. *)
 
 type 'a cell = 'a Atomic.t
 

@@ -4,26 +4,32 @@
     reachable through {!batched}; the plain registry views erase to
     {!Vbl_lists.Set_intf.S} like every other implementation. *)
 
-module R = Vbl_memops.Real_mem
-module RR = Vbl_memops.Reclaim_mem
 module I = Vbl_memops.Instr_mem
 
+(* The real and reclaiming frontends route to the registry's direct
+   instances through a constant maker, so every shard runs the same
+   build-time specialised code as [vbl] / [vbl-reclaim]; the backend
+   argument still builds the frontend's own stripes. *)
+module Vbl_real (_ : Vbl_memops.Mem_intf.S) = Vbl_lists.Registry.Vbl
+module Vbl_reclaim (_ : Vbl_memops.Mem_intf.S) = Vbl_lists.Registry.Vbl_reclaim
+
 module Vbl_sharded_2 =
-  Sharded_set.Make (struct let shard_bits = 1 end) (Vbl_lists.Vbl_list.Make) (R)
+  Sharded_set.Make (struct let shard_bits = 1 end) (Vbl_real) (Vbl_memops.Real_mem)
 
 module Vbl_sharded_4 =
-  Sharded_set.Make (struct let shard_bits = 2 end) (Vbl_lists.Vbl_list.Make) (R)
+  Sharded_set.Make (struct let shard_bits = 2 end) (Vbl_real) (Vbl_memops.Real_mem)
 
 module Vbl_sharded_8 =
-  Sharded_set.Make (struct let shard_bits = 3 end) (Vbl_lists.Vbl_list.Make) (R)
+  Sharded_set.Make (struct let shard_bits = 3 end) (Vbl_real) (Vbl_memops.Real_mem)
 
 module Vbl_sharded_16 =
-  Sharded_set.Make (struct let shard_bits = 4 end) (Vbl_lists.Vbl_list.Make) (R)
+  Sharded_set.Make (struct let shard_bits = 4 end) (Vbl_real) (Vbl_memops.Real_mem)
 
 (* Reclaiming frontend at the headline shard count: each shard gets its
    own pool, all sharing the global epoch. *)
 module Vbl_sharded_8_reclaim = struct
-  include Sharded_set.Make (struct let shard_bits = 3 end) (Vbl_lists.Vbl_list.Make) (RR)
+  include
+    Sharded_set.Make (struct let shard_bits = 3 end) (Vbl_reclaim) (Vbl_memops.Reclaim_mem)
 
   let name = "vbl-sharded-8-reclaim"
 end

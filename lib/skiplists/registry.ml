@@ -2,12 +2,13 @@
     instantiations for benchmarks/examples, instrumented ones for the
     schedule machinery. *)
 
-module R = Vbl_memops.Real_mem
 module I = Vbl_memops.Instr_mem
 
-module Lazy_skip = Lazy_skiplist.Make (R)
-module Vbl_skip = Vbl_skiplist.Make (R)
-module Lockfree_skip = Lockfree_skiplist.Make (R)
+(* Real-backend entries are the build-time direct instances of
+   specialised/dune; see Vbl_lists.Registry. *)
+module Lazy_skip = Real_lazy_skiplist
+module Vbl_skip = Real_vbl_skiplist
+module Lockfree_skip = Real_lockfree_skiplist
 module Lazy_skip_i = Lazy_skiplist.Make (I)
 module Vbl_skip_i = Vbl_skiplist.Make (I)
 module Lockfree_skip_i = Lockfree_skiplist.Make (I)

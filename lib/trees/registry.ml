@@ -1,13 +1,14 @@
 (** Tree registry, mirroring {!Vbl_lists.Registry}. *)
 
-module R = Vbl_memops.Real_mem
 module I = Vbl_memops.Instr_mem
 
-module Sequential_bst = Seq_bst.Make (R)
-module Coarse_bst_impl = Coarse_bst.Make (R)
-module Lazy_bst_impl = Lazy_bst.Make (R)
-module Lockfree_bst_impl = Lockfree_bst.Make (R)
-module Vbl_bst_impl = Vbl_bst.Make (R)
+(* Real-backend entries are the build-time direct instances of
+   specialised/dune; see Vbl_lists.Registry. *)
+module Sequential_bst = Real_seq_bst
+module Coarse_bst_impl = Real_coarse_bst
+module Lazy_bst_impl = Real_lazy_bst
+module Lockfree_bst_impl = Real_lockfree_bst
+module Vbl_bst_impl = Real_vbl_bst
 module Seq_bst_i = Seq_bst.Make (I)
 module Coarse_bst_i = Coarse_bst.Make (I)
 module Lazy_bst_i = Lazy_bst.Make (I)

@@ -32,7 +32,9 @@ let minor_words_per_op ~range f =
 let find_impl name =
   match Vbl_lists.Registry.find name with
   | Some impl -> impl
-  | None -> Alcotest.failf "unknown algorithm %s" name
+  | None -> (
+      try Vbl_trees.Registry.find_exn name
+      with Invalid_argument _ -> Alcotest.failf "unknown algorithm %s" name)
 
 (* Pre-populate with every odd key in [1, range], so the measured traffic
    sees both hits and misses. *)
@@ -128,7 +130,15 @@ let contains_cases =
     (fun name ->
       Alcotest.test_case (name ^ ": contains allocates nothing") `Quick
         (contains_is_allocation_free name))
-    [ "vbl"; "lazy"; "harris-michael"; "harris-michael-tagged"; "vbl-reclaim" ]
+    [
+      "vbl";
+      "lazy";
+      "harris-michael";
+      "harris-michael-tagged";
+      "vbl-reclaim";
+      "vbl-bst";
+      "lockfree-bst";
+    ]
 
 (* vbl / lazy node: 5-word record (header + value/next/deleted/lock) plus
    four 2-word Atomic cells = 13 words. *)

@@ -552,6 +552,71 @@ let batch_case (impl : (module Vbl_shard.Sharded_set.S)) =
         "striped size agrees" (List.length (S.to_list t)) (S.size t))
 
 (* ------------------------------------------------------------------ *)
+(* Mode 5: build-time instances vs their functor twins                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every real-backend registry entry is generated from its algorithm's
+   functor body (lib/*/specialised); the twin applies the functor to the
+   same backend.  One seeded single-threaded stream drives both, and
+   every result must agree: a generator that dropped, reordered or
+   mis-bound anything in a body shows up as a divergence. *)
+module Real = Vbl_memops.Real_mem
+module Reclaim = Vbl_memops.Reclaim_mem
+module L = Vbl_lists
+module Sk = Vbl_skiplists
+module Tr = Vbl_trees
+
+let twin_case ((generated : Vbl_lists.Registry.impl), (twin : Vbl_lists.Registry.impl)) =
+  let module G = (val generated) in
+  let module F = (val twin) in
+  Alcotest.test_case (G.name ^ ": generated instance = functor twin") `Quick (fun () ->
+      let rng = Rng.create ~seed:1414L () in
+      let g = G.create () and f = F.create () in
+      let diverged i fmt =
+        Printf.ksprintf (Alcotest.failf "%s: op %d (%s) diverged" G.name i) fmt
+      in
+      for i = 1 to 4_000 do
+        let k = 1 + Rng.int rng 64 in
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 -> if G.insert g k <> F.insert f k then diverged i "insert %d" k
+        | 3 | 4 | 5 -> if G.remove g k <> F.remove f k then diverged i "remove %d" k
+        | 6 | 7 | 8 -> if G.contains g k <> F.contains f k then diverged i "contains %d" k
+        | _ ->
+            let hi = k + Rng.int rng 24 - 4 (* sometimes inverted *) in
+            if G.range_query g k hi <> F.range_query f k hi then
+              diverged i "range_query %d %d" k hi
+      done;
+      Alcotest.(check (list int)) "to_list" (F.to_list f) (G.to_list g);
+      Alcotest.(check (result unit string))
+        "check_invariants" (F.check_invariants f) (G.check_invariants g))
+
+let twins : (Vbl_lists.Registry.impl * Vbl_lists.Registry.impl) list =
+  [
+    ((module L.Registry.Sequential), (module L.Seq_list.Make (Real)));
+    ((module L.Registry.Coarse), (module L.Coarse_list.Make (Real)));
+    ((module L.Registry.Hand_over_hand), (module L.Hoh_list.Make (Real)));
+    ((module L.Registry.Optimistic), (module L.Optimistic_list.Make (Real)));
+    ((module L.Registry.Lazy), (module L.Lazy_list.Make (Real)));
+    ((module L.Registry.Harris_michael_amr), (module L.Harris_michael.Make (Real)));
+    ((module L.Registry.Harris_michael_rtti), (module L.Harris_michael_tagged.Make (Real)));
+    ((module L.Registry.Fomitchev_ruppert_list), (module L.Fomitchev_ruppert.Make (Real)));
+    ((module L.Registry.Vbl), (module L.Vbl_list.Make (Real)));
+    ((module L.Registry.Vbl_postlock_ablation), (module L.Vbl_postlock.Make (Real)));
+    ((module L.Registry.Vbl_versioned_variant), (module L.Vbl_versioned.Make (Real)));
+    ((module L.Registry.Lazy_reclaim), (module L.Lazy_list.Make (Reclaim)));
+    ((module L.Registry.Harris_michael_reclaim), (module L.Harris_michael.Make (Reclaim)));
+    ((module L.Registry.Vbl_reclaim), (module L.Vbl_list.Make (Reclaim)));
+    ((module Sk.Registry.Lazy_skip), (module Sk.Lazy_skiplist.Make (Real)));
+    ((module Sk.Registry.Vbl_skip), (module Sk.Vbl_skiplist.Make (Real)));
+    ((module Sk.Registry.Lockfree_skip), (module Sk.Lockfree_skiplist.Make (Real)));
+    ((module Tr.Registry.Sequential_bst), (module Tr.Seq_bst.Make (Real)));
+    ((module Tr.Registry.Coarse_bst_impl), (module Tr.Coarse_bst.Make (Real)));
+    ((module Tr.Registry.Lazy_bst_impl), (module Tr.Lazy_bst.Make (Real)));
+    ((module Tr.Registry.Lockfree_bst_impl), (module Tr.Lockfree_bst.Make (Real)));
+    ((module Tr.Registry.Vbl_bst_impl), (module Tr.Vbl_bst.Make (Real)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let impl_cases =
@@ -617,4 +682,5 @@ let () =
       ("instr-mutants", mutants);
       ("batch", List.map batch_case Vbl_shard.Registry.batched);
       ("range", range_cases);
+      ("specialised", List.map twin_case twins);
     ]
