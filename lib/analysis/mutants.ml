@@ -484,16 +484,18 @@ end
 module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let name = K.name
 
-  type node = {
-    key : int;
-    deleted : bool M.cell;
-    unlinked : bool M.cell;
-    left : node option M.cell;
-    right : node option M.cell;
-    ver : int M.cell;
-    slock : M.lock;
-    tlock : M.lock;
-  }
+  type node =
+    | Nil
+    | Node of {
+        key : int;
+        deleted : bool M.cell;
+        unlinked : bool M.cell;
+        left : node M.cell;
+        right : node M.cell;
+        ver : int M.cell;
+        slock : M.lock;
+        tlock : M.lock;
+      }
 
   type t = { root : node }
 
@@ -504,28 +506,30 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
     if M.named then begin
       let nm = node_name k in
       M.new_node ~name:nm ~line;
-      {
-        key = k;
-        deleted = M.make ~name:(nm ^ ".del") ~line false;
-        unlinked = M.make ~name:(nm ^ ".ulk") ~line false;
-        left = M.make ~name:(nm ^ ".left") ~line None;
-        right = M.make ~name:(nm ^ ".right") ~line None;
-        ver = M.make ~name:(nm ^ ".ver") ~line 0;
-        slock = M.make_lock ~name:(nm ^ ".slock") ~line ();
-        tlock = M.make_lock ~name:(nm ^ ".lock") ~line ();
-      }
+      Node
+        {
+          key = k;
+          deleted = M.make ~name:(nm ^ ".del") ~line false;
+          unlinked = M.make ~name:(nm ^ ".ulk") ~line false;
+          left = M.make ~name:(nm ^ ".left") ~line Nil;
+          right = M.make ~name:(nm ^ ".right") ~line Nil;
+          ver = M.make ~name:(nm ^ ".ver") ~line 0;
+          slock = M.make_lock ~name:(nm ^ ".slock") ~line ();
+          tlock = M.make_lock ~name:(nm ^ ".lock") ~line ();
+        }
     end
     else
-      {
-        key = k;
-        deleted = M.make ~line false;
-        unlinked = M.make ~line false;
-        left = M.make ~line None;
-        right = M.make ~line None;
-        ver = M.make ~line 0;
-        slock = M.make_lock ~line ();
-        tlock = M.make_lock ~line ();
-      }
+      Node
+        {
+          key = k;
+          deleted = M.make ~line false;
+          unlinked = M.make ~line false;
+          left = M.make ~line Nil;
+          right = M.make ~line Nil;
+          ver = M.make ~line 0;
+          slock = M.make_lock ~line ();
+          tlock = M.make_lock ~line ();
+        }
 
   let create () = { root = make_node max_int }
 
@@ -533,14 +537,12 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
     if v = min_int || v = max_int then
       invalid_arg "bst: key must be strictly between min_int and max_int"
 
-  let child n v = if v < n.key then n.left else n.right
-
   let rec contains_walk n v =
-    if v = n.key then not (M.get n.deleted)
-    else
-      match M.get (if v < n.key then n.left else n.right) with
-      | Some c -> contains_walk c v
-      | None -> false
+    match n with
+    | Node r ->
+        if v = r.key then not (M.get r.deleted)
+        else contains_walk (M.get (if v < r.key then r.left else r.right)) v
+    | Nil -> false
 
   let contains t v =
     check_key v;
@@ -550,14 +552,17 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
 
   let locate t v =
     let rec go p n =
-      if v = n.key then Found (p, n)
-      else
-        let c = child n v in
-        match M.get c with
-        | Some m -> go n m
-        | None -> (
-            let s = M.get n.ver in
-            match M.get c with Some m -> go n m | None -> Missing (n, s))
+      match n with
+      | Nil -> assert false
+      | Node r -> (
+          if v = r.key then Found (p, n)
+          else
+            let c = if v < r.key then r.left else r.right in
+            match M.get c with
+            | Node _ as m -> go n m
+            | Nil -> (
+                let s = M.get r.ver in
+                match M.get c with Node _ as m -> go n m | Nil -> Missing (n, s)))
     in
     go t.root t.root
 
@@ -565,7 +570,7 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
     check_key v;
     let rec attempt () =
       match locate t v with
-      | Found (_, n) ->
+      | Found (_, Node n) ->
           if not (M.get n.deleted) then false
           else begin
             M.lock n.slock;
@@ -583,7 +588,7 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
               false
             end
           end
-      | Missing (p, s) ->
+      | Missing (Node p, s) ->
           let x = make_node v in
           M.lock p.tlock;
           if
@@ -592,7 +597,7 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
                 (* seeded mutant: link into a window whose version moved *)
                || M.get p.ver = s)
           then begin
-            M.set (child p v) (Some x);
+            M.set (if v < p.key then p.left else p.right) x;
             M.set p.ver (s + 1);
             M.unlock p.tlock;
             true
@@ -601,49 +606,49 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
             M.unlock p.tlock;
             attempt ()
           end
+      | Found (_, Nil) | Missing (Nil, _) -> assert false
     in
     attempt ()
 
-  let cleanup p n =
-    M.lock n.slock;
-    if M.get n.deleted && not (M.get n.unlinked) then begin
-      (* seeded mutant: the splice window is read before the victim's
-         tree lock is taken, so a concurrent insert can still link a
-         fresh leaf under [n] and the stale window splices it away *)
-      let stale_window =
-        if K.locked_window then None else Some (M.get n.left, M.get n.right)
-      in
-      M.lock p.tlock;
-      M.lock n.tlock;
-      let pc = child p n.key in
-      let still_child =
-        match M.get pc with Some m -> m == n | None -> false
-      in
-      if still_child && not (M.get p.unlinked) then begin
-        let window =
-          match stale_window with
-          | Some w -> w
-          | None -> (M.get n.left, M.get n.right)
-        in
-        match window with
-        | Some _, Some _ -> ()
-        | (Some _ as only), None | None, (Some _ as only) | (None as only), None
-          ->
-            M.set n.unlinked true;
-            M.set pc only;
-            M.set p.ver (M.get p.ver + 1)
-      end;
-      M.unlock n.tlock;
-      M.unlock p.tlock
-    end;
-    M.unlock n.slock
+  let cleanup parent victim =
+    match (parent, victim) with
+    | Node p, Node n ->
+        M.lock n.slock;
+        if M.get n.deleted && not (M.get n.unlinked) then begin
+          (* seeded mutant: the splice window is read before the victim's
+             tree lock is taken, so a concurrent insert can still link a
+             fresh leaf under [n] and the stale window splices it away *)
+          let stale_window =
+            if K.locked_window then None else Some (M.get n.left, M.get n.right)
+          in
+          M.lock p.tlock;
+          M.lock n.tlock;
+          let pc = if n.key < p.key then p.left else p.right in
+          if M.get pc == victim && not (M.get p.unlinked) then begin
+            let window =
+              match stale_window with
+              | Some w -> w
+              | None -> (M.get n.left, M.get n.right)
+            in
+            match window with
+            | Node _, Node _ -> ()
+            | (Node _ as only), Nil | Nil, only ->
+                M.set n.unlinked true;
+                M.set pc only;
+                M.set p.ver (M.get p.ver + 1)
+          end;
+          M.unlock n.tlock;
+          M.unlock p.tlock
+        end;
+        M.unlock n.slock
+    | _ -> assert false
 
   let remove t v =
     check_key v;
     let rec attempt () =
       match locate t v with
       | Missing _ -> false
-      | Found (p, n) ->
+      | Found (p, (Node n as victim)) ->
           if M.get n.deleted then false
           else begin
             M.lock n.slock;
@@ -658,26 +663,25 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
             else begin
               M.set n.deleted true;
               M.unlock n.slock;
-              cleanup p n;
+              cleanup p victim;
               true
             end
           end
+      | Found (_, Nil) -> assert false
     in
     attempt ()
 
   let fold_range lo hi f init t =
-    let rec go acc n =
-      let k = n.key in
-      let acc =
-        if lo < k then match M.get n.left with Some c -> go acc c | None -> acc
-        else acc
-      in
-      let acc =
-        if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
-        else acc
-      in
-      if k < hi then match M.get n.right with Some c -> go acc c | None -> acc
-      else acc
+    let rec go acc = function
+      | Nil -> acc
+      | Node n ->
+          let k = n.key in
+          let acc = if lo < k then go acc (M.get n.left) else acc in
+          let acc =
+            if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
+            else acc
+          in
+          if k < hi then go acc (M.get n.right) else acc
     in
     go init t.root
 
@@ -689,35 +693,39 @@ module Make_bst (K : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf
 
   let check_invariants t =
     let exception Bad of string in
-    let check_node n =
-      if M.get n.unlinked then
-        raise (Bad (Printf.sprintf "reachable unlinked node %d" n.key));
-      if M.lock_held n.slock then
-        raise (Bad (Printf.sprintf "node %d state lock left held" n.key));
-      if M.lock_held n.tlock then
-        raise (Bad (Printf.sprintf "node %d tree lock left held" n.key))
+    let check_node = function
+      | Nil -> ()
+      | Node n ->
+          if M.get n.unlinked then
+            raise (Bad (Printf.sprintf "reachable unlinked node %d" n.key));
+          if M.lock_held n.slock then
+            raise (Bad (Printf.sprintf "node %d state lock left held" n.key));
+          if M.lock_held n.tlock then
+            raise (Bad (Printf.sprintf "node %d tree lock left held" n.key))
     in
     let rec go n lo hi depth =
-      if depth > 1_000_000 then raise (Bad "descent did not terminate (cycle?)");
-      if not (lo < n.key && n.key < hi) then
-        raise (Bad (Printf.sprintf "node %d outside (%d, %d)" n.key lo hi));
-      check_node n;
-      (match M.get n.left with Some c -> go c lo n.key (depth + 1) | None -> ());
-      match M.get n.right with Some c -> go c n.key hi (depth + 1) | None -> ()
+      match n with
+      | Nil -> ()
+      | Node r ->
+          if depth > 1_000_000 then raise (Bad "descent did not terminate (cycle?)");
+          if not (lo < r.key && r.key < hi) then
+            raise (Bad (Printf.sprintf "node %d outside (%d, %d)" r.key lo hi));
+          check_node n;
+          go (M.get r.left) lo r.key (depth + 1);
+          go (M.get r.right) r.key hi (depth + 1)
     in
-    if t.root.key <> max_int then Error "root is not the max_int sentinel"
-    else
-      try
-        if M.get t.root.deleted then raise (Bad "root sentinel marked deleted");
-        check_node t.root;
-        (match M.get t.root.right with
-        | Some _ -> raise (Bad "root sentinel has a right child")
-        | None -> ());
-        (match M.get t.root.left with
-        | Some c -> go c min_int max_int 0
-        | None -> ());
-        Ok ()
-      with Bad msg -> Error msg
+    match t.root with
+    | Node r when r.key = max_int -> (
+        try
+          if M.get r.deleted then raise (Bad "root sentinel marked deleted");
+          check_node t.root;
+          (match M.get r.right with
+          | Node _ -> raise (Bad "root sentinel has a right child")
+          | Nil -> ());
+          go (M.get r.left) min_int max_int 0;
+          Ok ()
+        with Bad msg -> Error msg)
+    | Node _ | Nil -> Error "root is not the max_int sentinel"
 end
 
 (* Clean knob settings, overridden one at a time below. *)

@@ -19,13 +19,19 @@
       two inserts race for one empty slot rejectable without
       re-descending blindly;
     - {b deletion by state flag}: [remove] linearizes at a single
-      [deleted := true] under the state lock.  Nodes are spliced out
-      only when they have at most one child (the {e partially-external}
-      compromise: a deleted node with two children stays as a routing
-      node until a later restructuring finds it with fewer).  Physical
-      unlinking is one opportunistic attempt under parent-then-victim
-      tree locks in ancestor order; a failed validation just leaves the
-      routing node behind.
+      [deleted := true] under the state lock.  The remove that deleted a
+      node then makes one opportunistic attempt to splice it out, under
+      parent-then-victim tree locks in ancestor order, and only if it
+      has at most one child (the {e partially-external} compromise).
+      Only that remove ever tries: a deleted node with two children, or
+      one whose splice failed validation, stays as a routing node until
+      an insert of its key revives it.
+
+    Child slots hold the child itself or the immediate [Nil], not a
+    [node option], as the VBL list's [next] holds its successor: a
+    descent level is two dependent loads (the slot's cell, then the
+    child in it) with no [Some] block between, and a link or splice
+    writes the node (or [Nil]) straight into the slot.
 
     Range operations come from {!Vbl_lists.Set_intf.Derive} over a
     window fold bounded to [[lo, hi]]: like [contains], it is a
@@ -45,20 +51,25 @@
 module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let name = "vbl-bst"
 
-  type node = {
-    key : int;  (** immutable: routing never re-keys a node *)
-    deleted : bool M.cell;  (** state flag — guarded by [slock] *)
-    unlinked : bool M.cell;  (** spliced out — guarded by [tlock] *)
-    left : node option M.cell;
-    right : node option M.cell;
-    ver : int M.cell;  (** bumped by every child write, under [tlock] *)
-    slock : M.lock;
-    tlock : M.lock;
-  }
+  module Probe = Vbl_obs.Probe
+  module C = Vbl_obs.Metrics
+
+  type node =
+    | Nil
+    | Node of {
+        key : int;  (** immutable: routing never re-keys a node *)
+        deleted : bool M.cell;  (** state flag — guarded by [slock] *)
+        unlinked : bool M.cell;  (** spliced out — guarded by [tlock] *)
+        left : node M.cell;
+        right : node M.cell;
+        ver : int M.cell;  (** bumped by every child write, under [tlock] *)
+        slock : M.lock;
+        tlock : M.lock;
+      }
 
   type t = { root : node }
-  (** The root is a sentinel with key [max_int]; every real key routes
-      left of it, so the empty tree is [root.left = None] and the
+  (** The root is a sentinel node with key [max_int]; every real key
+      routes left of it, so the empty tree is [root.left = Nil] and the
       sentinel itself is never deleted or unlinked. *)
 
   let node_name k = if k = max_int then "rt" else "N" ^ string_of_int k
@@ -69,28 +80,30 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     if M.named then begin
       let nm = node_name k in
       M.new_node ~name:nm ~line;
-      {
-        key = k;
-        deleted = M.make ~name:(nm ^ ".del") ~line false;
-        unlinked = M.make ~name:(nm ^ ".ulk") ~line false;
-        left = M.make ~name:(nm ^ ".left") ~line None;
-        right = M.make ~name:(nm ^ ".right") ~line None;
-        ver = M.make ~name:(nm ^ ".ver") ~line 0;
-        slock = M.make_lock ~name:(nm ^ ".slock") ~line ();
-        tlock = M.make_lock ~name:(nm ^ ".lock") ~line ();
-      }
+      Node
+        {
+          key = k;
+          deleted = M.make ~name:(nm ^ ".del") ~line false;
+          unlinked = M.make ~name:(nm ^ ".ulk") ~line false;
+          left = M.make ~name:(nm ^ ".left") ~line Nil;
+          right = M.make ~name:(nm ^ ".right") ~line Nil;
+          ver = M.make ~name:(nm ^ ".ver") ~line 0;
+          slock = M.make_lock ~name:(nm ^ ".slock") ~line ();
+          tlock = M.make_lock ~name:(nm ^ ".lock") ~line ();
+        }
     end
     else
-      {
-        key = k;
-        deleted = M.make ~line false;
-        unlinked = M.make ~line false;
-        left = M.make ~line None;
-        right = M.make ~line None;
-        ver = M.make ~line 0;
-        slock = M.make_lock ~line ();
-        tlock = M.make_lock ~line ();
-      }
+      Node
+        {
+          key = k;
+          deleted = M.make ~line false;
+          unlinked = M.make ~line false;
+          left = M.make ~line Nil;
+          right = M.make ~line Nil;
+          ver = M.make ~line 0;
+          slock = M.make_lock ~line ();
+          tlock = M.make_lock ~line ();
+        }
 
   let create () = { root = make_node max_int }
 
@@ -98,19 +111,26 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     if v = min_int || v = max_int then
       invalid_arg "bst: key must be strictly between min_int and max_int"
 
-  let child n v = if v < n.key then n.left else n.right
+  (* Every descent below counts one hop per child slot it reads (a slot
+     re-read for a window counts once) in a register and flushes the sum
+     in one probe call, as the list traversals do. *)
 
   (* Membership: wait-free, allocation-free descent. *)
-  let[@hot] rec contains_walk n v =
-    if v = n.key then not (M.get n.deleted)
-    else
-      match M.get (if v < n.key then n.left else n.right) with
-      | Some c -> contains_walk c v
-      | None -> false
+  let[@hot] rec contains_walk n v hops =
+    match n with
+    | Node r ->
+        if v = r.key then begin
+          if !Probe.enabled then Probe.add C.Traversal_steps hops;
+          not (M.get r.deleted)
+        end
+        else contains_walk (M.get (if v < r.key then r.left else r.right)) v (hops + 1)
+    | Nil ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        false
 
   let contains t v =
     check_key v;
-    contains_walk t.root v
+    contains_walk t.root v 0
 
   type where =
     | Found of node * node  (** parent, node with the key *)
@@ -119,25 +139,36 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   (* Update descent.  Falling off at [n] records a seqlock-style window:
      read [n.ver], then re-check the slot is still empty — a later
      [n.ver = s] comparison under [n]'s tree lock then certifies the
-     slot stayed empty from the re-check to the lock acquisition. *)
+     slot stayed empty from the re-check to the lock acquisition.  Both
+     results carry nodes, never [Nil]. *)
   let locate t v =
-    let rec go p n =
-      if v = n.key then Found (p, n)
-      else
-        let c = child n v in
-        match M.get c with
-        | Some m -> go n m
-        | None -> (
-            let s = M.get n.ver in
-            match M.get c with Some m -> go n m | None -> Missing (n, s))
+    let rec go p n hops =
+      match n with
+      | Nil -> assert false (* [go] is only handed nodes *)
+      | Node r -> (
+          if v = r.key then begin
+            if !Probe.enabled then Probe.add C.Traversal_steps hops;
+            Found (p, n)
+          end
+          else
+            let c = if v < r.key then r.left else r.right in
+            match M.get c with
+            | Node _ as m -> go n m (hops + 1)
+            | Nil -> (
+                let s = M.get r.ver in
+                match M.get c with
+                | Node _ as m -> go n m (hops + 1)
+                | Nil ->
+                    if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
+                    Missing (n, s)))
     in
-    go t.root t.root
+    go t.root t.root 0
 
   let insert t v =
     check_key v;
     let rec attempt () =
       match locate t v with
-      | Found (_, n) ->
+      | Found (_, Node n) ->
           if not (M.get n.deleted) then false (* present: no lock ever taken *)
           else begin
             (* Revive the routing node under its state lock — deletion by
@@ -145,34 +176,41 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
             M.lock n.slock;
             if M.get n.unlinked then begin
               M.unlock n.slock;
+              Probe.count C.Restarts;
               attempt ()
             end
-            else if M.get n.deleted then begin
-              M.set n.deleted false;
-              M.unlock n.slock;
-              true
-            end
             else begin
-              M.unlock n.slock;
-              false
+              Probe.count C.Lock_acquisitions;
+              if M.get n.deleted then begin
+                M.set n.deleted false;
+                M.unlock n.slock;
+                true
+              end
+              else begin
+                M.unlock n.slock;
+                false
+              end
             end
           end
-      | Missing (p, s) ->
+      | Missing (Node p, s) ->
           let x = make_node v in
           M.lock p.tlock;
           (* Version-only window validation: no pointer identity check is
              needed (or taken) — [ver] unchanged means no link or splice
              touched [p]'s children since the descent's empty re-check. *)
           if (not (M.get p.unlinked)) && M.get p.ver = s then begin
-            M.set (child p v) (Some x);
+            Probe.count C.Lock_acquisitions;
+            M.set (if v < p.key then p.left else p.right) x;
             M.set p.ver (s + 1);
             M.unlock p.tlock;
             true
           end
           else begin
             M.unlock p.tlock;
+            Probe.count C.Restarts;
             attempt ()
           end
+      | Found (_, Nil) | Missing (Nil, _) -> assert false
     in
     attempt ()
 
@@ -186,54 +224,60 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
      splice against a concurrent revive-insert: without it, an insert
      could resurrect [n] between our deleted-check and the splice, and
      we would unlink a live key. *)
-  let cleanup p n =
-    M.lock n.slock;
-    if M.get n.deleted && not (M.get n.unlinked) then begin
-      M.lock p.tlock;
-      M.lock n.tlock;
-      let pc = child p n.key in
-      let still_child =
-        match M.get pc with Some m -> m == n | None -> false
-      in
-      if still_child && not (M.get p.unlinked) then begin
-        match (M.get n.left, M.get n.right) with
-        | Some _, Some _ -> () (* two children: stays as a routing node *)
-        | (Some _ as only), None | None, (Some _ as only) | (None as only), None
-          ->
-            M.set n.unlinked true;
-            M.set pc only;
-            M.set p.ver (M.get p.ver + 1)
-      end;
-      M.unlock n.tlock;
-      M.unlock p.tlock
-    end;
-    M.unlock n.slock
+  let cleanup parent victim =
+    match (parent, victim) with
+    | Node p, Node n ->
+        M.lock n.slock;
+        if M.get n.deleted && not (M.get n.unlinked) then begin
+          Probe.count C.Lock_acquisitions;
+          M.lock p.tlock;
+          M.lock n.tlock;
+          let pc = if n.key < p.key then p.left else p.right in
+          if M.get pc == victim && not (M.get p.unlinked) then begin
+            Probe.add C.Lock_acquisitions 2;
+            match (M.get n.left, M.get n.right) with
+            | Node _, Node _ -> () (* two children: stays as a routing node *)
+            | (Node _ as only), Nil | Nil, only ->
+                M.set n.unlinked true;
+                M.set pc only;
+                M.set p.ver (M.get p.ver + 1)
+          end;
+          M.unlock n.tlock;
+          M.unlock p.tlock
+        end;
+        M.unlock n.slock
+    | _ -> assert false
 
   let remove t v =
     check_key v;
     let rec attempt () =
       match locate t v with
       | Missing _ -> false (* absent: no lock ever taken *)
-      | Found (p, n) ->
+      | Found (p, (Node n as victim)) ->
           if M.get n.deleted then false (* already absent: still lock-free *)
           else begin
             M.lock n.slock;
             if M.get n.unlinked then begin
               M.unlock n.slock;
+              Probe.count C.Restarts;
               attempt ()
             end
-            else if M.get n.deleted then begin
-              M.unlock n.slock;
-              false
-            end
             else begin
-              M.set n.deleted true;
-              (* linearization point *)
-              M.unlock n.slock;
-              cleanup p n;
-              true
+              Probe.count C.Lock_acquisitions;
+              if M.get n.deleted then begin
+                M.unlock n.slock;
+                false
+              end
+              else begin
+                M.set n.deleted true;
+                (* linearization point *)
+                M.unlock n.slock;
+                cleanup p victim;
+                true
+              end
             end
           end
+      | Found (_, Nil) -> assert false
     in
     attempt ()
 
@@ -243,18 +287,16 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
      Deleted routing nodes are skipped, the sentinel contributes
      nothing. *)
   let fold_range lo hi f init t =
-    let rec go acc n =
-      let k = n.key in
-      let acc =
-        if lo < k then match M.get n.left with Some c -> go acc c | None -> acc
-        else acc
-      in
-      let acc =
-        if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
-        else acc
-      in
-      if k < hi then match M.get n.right with Some c -> go acc c | None -> acc
-      else acc
+    let rec go acc = function
+      | Nil -> acc
+      | Node n ->
+          let k = n.key in
+          let acc = if lo < k then go acc (M.get n.left) else acc in
+          let acc =
+            if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
+            else acc
+          in
+          if k < hi then go acc (M.get n.right) else acc
     in
     go init t.root
 
@@ -266,33 +308,37 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
 
   let check_invariants t =
     let exception Bad of string in
-    let check_node n =
-      if M.get n.unlinked then
-        raise (Bad (Printf.sprintf "reachable unlinked node %d" n.key));
-      if M.lock_held n.slock then
-        raise (Bad (Printf.sprintf "node %d state lock left held" n.key));
-      if M.lock_held n.tlock then
-        raise (Bad (Printf.sprintf "node %d tree lock left held" n.key))
+    let check_node = function
+      | Nil -> ()
+      | Node n ->
+          if M.get n.unlinked then
+            raise (Bad (Printf.sprintf "reachable unlinked node %d" n.key));
+          if M.lock_held n.slock then
+            raise (Bad (Printf.sprintf "node %d state lock left held" n.key));
+          if M.lock_held n.tlock then
+            raise (Bad (Printf.sprintf "node %d tree lock left held" n.key))
     in
     let rec go n lo hi depth =
-      if depth > 1_000_000 then raise (Bad "descent did not terminate (cycle?)");
-      if not (lo < n.key && n.key < hi) then
-        raise (Bad (Printf.sprintf "node %d outside (%d, %d)" n.key lo hi));
-      check_node n;
-      (match M.get n.left with Some c -> go c lo n.key (depth + 1) | None -> ());
-      match M.get n.right with Some c -> go c n.key hi (depth + 1) | None -> ()
+      match n with
+      | Nil -> ()
+      | Node r ->
+          if depth > 1_000_000 then raise (Bad "descent did not terminate (cycle?)");
+          if not (lo < r.key && r.key < hi) then
+            raise (Bad (Printf.sprintf "node %d outside (%d, %d)" r.key lo hi));
+          check_node n;
+          go (M.get r.left) lo r.key (depth + 1);
+          go (M.get r.right) r.key hi (depth + 1)
     in
-    if t.root.key <> max_int then Error "root is not the max_int sentinel"
-    else
-      try
-        if M.get t.root.deleted then raise (Bad "root sentinel marked deleted");
-        check_node t.root;
-        (match M.get t.root.right with
-        | Some _ -> raise (Bad "root sentinel has a right child")
-        | None -> ());
-        (match M.get t.root.left with
-        | Some c -> go c min_int max_int 0
-        | None -> ());
-        Ok ()
-      with Bad msg -> Error msg
+    match t.root with
+    | Node r when r.key = max_int -> (
+        try
+          if M.get r.deleted then raise (Bad "root sentinel marked deleted");
+          check_node t.root;
+          (match M.get r.right with
+          | Node _ -> raise (Bad "root sentinel has a right child")
+          | Nil -> ());
+          go (M.get r.left) min_int max_int 0;
+          Ok ()
+        with Bad msg -> Error msg)
+    | Node _ | Nil -> Error "root is not the max_int sentinel"
 end

@@ -581,6 +581,83 @@ let forced_contention_test =
       Alcotest.(check bool) "7 inserted" true
         (Instr.run_sequential (fun () -> S.contains t 7)))
 
+(* vbl-bst probes, pinned per operation on a fixed tree.  A descent
+   counts one hop per child slot it reads; a lock counts once it passes
+   its validation (the state lock: not unlinked; the splice's tree
+   locks: the victim is still the parent's live child).  A remove's
+   cleanup takes the victim's state lock again, then both tree locks. *)
+let bst_probe_counts f =
+  with_metrics_probe (fun () -> ignore (f () : bool));
+  let m = Metrics.snapshot () in
+  Metrics.(get m Traversal_steps, get m Lock_acquisitions, get m Restarts)
+
+let bst_fixed_tree_test =
+  Alcotest.test_case "vbl-bst: exact counts on a fixed tree" `Quick (fun () ->
+      let module S = Vbl_trees.Registry.Vbl_bst_impl in
+      (*        rt
+               /
+              4
+             / \
+            2   6
+           / \
+          1   3      *)
+      let t = S.create () in
+      List.iter (fun v -> ignore (S.insert t v)) [ 4; 2; 6; 1; 3 ];
+      List.iter
+        (fun (what, f, expected) ->
+          Alcotest.(check (triple int int int))
+            (what ^ ": hops, lock acquisitions, restarts")
+            expected (bst_probe_counts f))
+        [
+          ("contains 3", (fun () -> S.contains t 3), (3, 0, 0));
+          ("contains 5 (falls off 6)", (fun () -> S.contains t 5), (3, 0, 0));
+          ("insert 4 (present)", (fun () -> S.insert t 4), (1, 0, 0));
+          ("remove 7 (absent)", (fun () -> S.remove t 7), (3, 0, 0));
+          ("insert 5 (link under 6)", (fun () -> S.insert t 5), (3, 1, 0));
+          ("remove 2 (two children: stays)", (fun () -> S.remove t 2), (2, 4, 0));
+          ("contains 2 (routing node)", (fun () -> S.contains t 2), (2, 0, 0));
+          ("insert 2 (revive)", (fun () -> S.insert t 2), (2, 1, 0));
+          ("remove 1 (leaf: spliced)", (fun () -> S.remove t 1), (3, 4, 0));
+          ("contains 1", (fun () -> S.contains t 1), (3, 0, 0));
+        ];
+      Alcotest.(check (list int)) "contents" [ 2; 3; 4; 5; 6 ] (S.to_list t))
+
+(* Two inserts fall off the same empty slot of the root sentinel; the
+   one that links second finds [rt.ver] moved under the lock, restarts
+   once, and links under the first.  T1 stops at new(N2) — after its
+   descent, before its lock — while T0 runs to completion. *)
+let bst_forced_restart_test =
+  Alcotest.test_case "vbl-bst: a moved window version restarts the insert" `Quick
+    (fun () ->
+      let module S = Vbl_trees.Registry.Vbl_bst_i in
+      let t = Instr.run_sequential S.create in
+      let hops, acquisitions, restarts =
+        bst_probe_counts (fun () ->
+            let exec =
+              Exec.create
+                [ (fun () -> ignore (S.insert t 1)); (fun () -> ignore (S.insert t 2)) ]
+            in
+            let rec advance_t1 () =
+              match Exec.pending exec 1 with
+              | Exec.Access a when a.Instr.name = "N2" && a.Instr.kind = Instr.New_node -> ()
+              | Exec.Access _ ->
+                  Exec.step exec 1;
+                  advance_t1 ()
+              | _ -> Alcotest.fail "insert(2) finished or blocked before new(N2)"
+            in
+            advance_t1 ();
+            while Exec.pending exec 0 <> Exec.Done do
+              Exec.step exec 0
+            done;
+            Exec.drain exec;
+            true)
+      in
+      Alcotest.(check int) "hops: 1 + 1, then 2 after the restart" 4 hops;
+      Alcotest.(check int) "one validated link each" 2 acquisitions;
+      Alcotest.(check int) "one restart" 1 restarts;
+      Alcotest.(check (list int)) "both linked" [ 1; 2 ]
+        (Instr.run_sequential (fun () -> S.to_list t)))
+
 (* The conductor emits one trace event per executed step when a tracer
    is installed. *)
 let exec_trace_test =
@@ -610,5 +687,11 @@ let () =
       ("contention-recorder-interval", contention_tests);
       ("probe", probe_tests);
       ( "end-to-end",
-        [ single_threaded_readonly_test; forced_contention_test; exec_trace_test ] );
+        [
+          single_threaded_readonly_test;
+          forced_contention_test;
+          bst_fixed_tree_test;
+          bst_forced_restart_test;
+          exec_trace_test;
+        ] );
     ]

@@ -84,6 +84,64 @@ let range_tests (impl : Vbl_trees.Registry.impl) =
         Alcotest.(check int) "approx_size" 3 (S.approx_size t));
   ]
 
+(* Deterministic walks through each shape [Vbl_bst]'s splice handles:
+   a leaf, a node with only a left or only a right child (its child
+   takes its slot), and a two-child node that stays as a routing node
+   until an insert revives it.  Every step checks the contents,
+   membership of every key in range, and the invariants. *)
+let vbl_bst_shape_tests =
+  let module S = Vbl_trees.Registry.Vbl_bst_impl in
+  let expect t present =
+    Alcotest.(check (list int)) "to_list" present (S.to_list t);
+    for v = 0 to 10 do
+      Alcotest.(check bool)
+        (Printf.sprintf "contains %d" v)
+        (List.mem v present) (S.contains t v)
+    done;
+    Alcotest.(check bool) "invariants" true (S.check_invariants t = Ok ())
+  in
+  let grown keys =
+    let t = S.create () in
+    List.iter
+      (fun v -> Alcotest.(check bool) (Printf.sprintf "insert %d" v) true (S.insert t v))
+      keys;
+    expect t (List.sort compare keys);
+    t
+  in
+  let op what f t v expected present =
+    Alcotest.(check bool) (Printf.sprintf "%s %d" what v) expected (f t v);
+    expect t present
+  in
+  let remove = op "remove" S.remove and insert = op "insert" S.insert in
+  let mk name fn = Alcotest.test_case ("vbl-bst: " ^ name) `Quick fn in
+  [
+    mk "removing a leaf splices it out" (fun () ->
+        let t = grown [ 5; 3; 8 ] in
+        remove t 3 true [ 5; 8 ];
+        remove t 3 false [ 5; 8 ];
+        insert t 3 true [ 3; 5; 8 ];
+        remove t 8 true [ 3; 5 ]);
+    mk "a left-only node's subtree takes its slot" (fun () ->
+        let t = grown [ 5; 3; 2; 1 ] in
+        remove t 3 true [ 1; 2; 5 ];
+        remove t 2 true [ 1; 5 ];
+        insert t 2 true [ 1; 2; 5 ]);
+    mk "a right-only node's subtree takes its slot" (fun () ->
+        let t = grown [ 5; 3; 4; 6; 7 ] in
+        remove t 3 true [ 4; 5; 6; 7 ];
+        remove t 6 true [ 4; 5; 7 ];
+        insert t 6 true [ 4; 5; 6; 7 ]);
+    mk "a two-child node stays as a router until an insert revives it" (fun () ->
+        let t = grown [ 5; 3; 2; 4 ] in
+        remove t 3 true [ 2; 4; 5 ];
+        remove t 3 false [ 2; 4; 5 ];
+        insert t 3 true [ 2; 3; 4; 5 ];
+        insert t 3 false [ 2; 3; 4; 5 ];
+        remove t 2 true [ 3; 4; 5 ];
+        remove t 4 true [ 3; 5 ];
+        remove t 3 true [ 5 ]);
+  ]
+
 type op = Insert of int | Remove of int | Contains of int
 
 let pp_op = function
@@ -315,6 +373,7 @@ let () =
          (S.name, unit_tests impl @ range_tests impl @ property_tests impl))
        impls
     @ [
+        ("vbl-bst shapes", vbl_bst_shape_tests);
         ("explore", explore_tests);
         ("range explore", range_explore_tests);
         ("stress", stress_tests);
