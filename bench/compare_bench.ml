@@ -1,10 +1,11 @@
 (* compare_bench OLD.json NEW.json [--threshold PCT]
 
    Diffs two benchmark snapshots in the BENCH_*.json schema (written by
-   `bench/main.exe --matrix --json F` or `--metrics --json F`): matches
-   points by (algorithm, threads, update_percent, key_range), prints the
-   throughput delta for each, and flags regressions where the new mean is
-   more than PCT percent (default 10) below the old one.  Exits 1 if any
+   `vbl-synchrobench --matrix --metrics-json F`, or by any
+   `--metrics-json F` run): matches points by (algorithm, threads,
+   update_percent, key_range), prints the throughput delta for each,
+   and flags regressions where the new mean is more than PCT percent
+   (default 10) below the old one.  Exits 1 if any
    point regressed (so it can gate CI), 2 if the point sets differ without
    any regression (warning only: the snapshots do not cover the same
    workload matrix), 64 on usage errors, 0 otherwise.

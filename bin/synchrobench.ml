@@ -184,7 +184,7 @@ let matrix_arg =
            Prints one CSV row per cell (with $(b,--csv)) or a prose line each; \
            $(b,--metrics-json) then collects every cell.")
 
-(* The grid the scaling matrix sweeps, shared with bench/main.exe --matrix. *)
+(* The grid the scaling matrix sweeps. *)
 let matrix_updates = [ 0; 20; 100 ]
 let matrix_ranges = [ 50; 200; 2_000; 20_000 ]
 
@@ -265,26 +265,36 @@ let run_single ~algo ~threads ~update ~range ~engine_v ~metrics ~profile ~interv
   end;
   point
 
+(* Bad input is rejected before anything is measured: one line on
+   stderr and exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 let run algo threads update range duration warmup trials seed horizon engine csv metrics
     metrics_json trace_n trace_json profile export interval_s matrix shards churn =
   let update = if churn then 90 else update
   and range = if churn then 256 else range in
-  if churn && matrix then begin
-    Printf.eprintf "--churn fixes one workload cell; drop --matrix\n";
-    exit 2
-  end;
-  if profile && engine = `Sim then begin
-    Printf.eprintf "--profile needs the wall clock; use --engine real\n";
-    exit 2
-  end;
-  if profile && matrix then begin
-    Printf.eprintf "--profile attributes one measured point; drop --matrix\n";
-    exit 2
-  end;
-  if export <> None && not profile then begin
-    Printf.eprintf "--export requires --profile (nothing to export otherwise)\n";
-    exit 2
-  end;
+  if churn && matrix then usage_error "--churn fixes one workload cell; drop --matrix";
+  if profile && engine = `Sim then
+    usage_error "--profile needs the wall clock; use --engine real";
+  if profile && matrix then
+    usage_error "--profile attributes one measured point; drop --matrix";
+  if export <> None && not profile then
+    usage_error "--export requires --profile (nothing to export otherwise)";
+  if threads < 1 then usage_error "-t %d: expected at least one thread" threads;
+  if trials < 1 then usage_error "-n %d: expected at least one trial" trials;
+  if range < 1 then usage_error "-r %d: expected a key range of at least 1" range;
+  if update < 0 || update > 100 then
+    usage_error "-u %d: expected a percentage between 0 and 100" update;
+  Option.iter
+    (fun s ->
+      if not (s > 0.) then
+        usage_error "--interval %g: expected a positive number of seconds" s)
+    interval_s;
   (* Output paths are checked before anything is measured, so a typo in
      a directory cannot cost a whole run. *)
   List.iter
@@ -292,10 +302,8 @@ let run algo threads update range duration warmup trials seed horizon engine csv
       Option.iter
         (fun p ->
           let dir = Filename.dirname p in
-          if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-            Printf.eprintf "%s %s: directory %s does not exist\n" flag p dir;
-            exit 2
-          end)
+          if not (Sys.file_exists dir && Sys.is_directory dir) then
+            usage_error "%s %s: directory %s does not exist" flag p dir)
         path)
     [ ("--metrics-json", metrics_json); ("--trace-json", trace_json); ("--export", export) ];
   (* The shard axis maps each count s to ALGO-sharded-s (1 = the base
@@ -311,15 +319,10 @@ let run algo threads update range duration warmup trials seed horizon engine csv
   in
   List.iter
     (fun a ->
-      if not (List.mem a (algorithms ())) then begin
-        Printf.eprintf "unknown algorithm %S; known: %s\n" a
-          (String.concat ", " (algorithms ()));
-        exit 2
-      end;
-      if a = "vbl-direct" && engine = `Sim then begin
-        Printf.eprintf "vbl-direct has no instrumented build; use --engine real\n";
-        exit 2
-      end)
+      if not (List.mem a (algorithms ())) then
+        usage_error "unknown algorithm %S; known: %s" a (String.concat ", " (algorithms ()));
+      if a = "vbl-direct" && engine = `Sim then
+        usage_error "vbl-direct has no instrumented build; use --engine real")
     algos;
   let seed = Int64.of_int seed in
   let metrics = metrics || metrics_json <> None || profile in
@@ -399,4 +402,19 @@ let cmd =
       $ metrics_json_arg $ trace_arg $ trace_json_arg $ profile_arg $ export_arg
       $ interval_arg $ matrix_arg $ shards_arg $ churn_arg)
 
-let () = exit (Cmd.eval cmd)
+(* Cmdliner reports a malformed command line on several lines with exit
+   124; keep its first line and exit 2, like every other rejection. *)
+let () =
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err max_int;
+  let result = Cmd.eval_value ~err cmd in
+  Format.pp_print_flush err ();
+  match result with
+  | Ok _ -> exit 0
+  | Error (`Parse | `Term) ->
+      prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+      exit 2
+  | Error `Exn ->
+      prerr_string (Buffer.contents buf);
+      exit Cmd.Exit.internal_error

@@ -44,7 +44,8 @@ module type S = sig
       their semantics allow it).  [Error msg] pinpoints the violation. *)
 
   val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-  (** In-order fold over the present values, ascending.  Concurrent-safe
+  (** In-order fold over the present values, strictly ascending: each
+      value is yielded at most once.  Concurrent-safe
       in the same best-effort sense as a single collecting traversal: the
       walk takes no locks and applies the algorithm's own notion of
       presence, so under concurrent updates it sees some interleaving of
@@ -100,6 +101,15 @@ module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
     from the head and stop at the first key above [hi], so a collection
     costs up to the position of [hi].
 
+    {b Strictly ascending.}  Every traversal below runs through one
+    wrapper of [Base.fold_range] that skips any key at or below the
+    last key it yielded.  On the BSTs a single walk can otherwise meet a
+    key twice: a remove splices the key's node out and its right subtree
+    moves up into its slot, an insert of the same key links a new node
+    at the leftmost end of that subtree, and a walk that has just
+    yielded the key enters the subtree and meets the re-insertion.  On
+    the lists and skiplists the guard never fires.
+
     {b Reclaiming backends.}  On a backend with [M.reclaiming] the
     lists run the whole window walk inside one epoch bracket
     ([M.op_enter]/[M.op_exit]), so no node the walk can reach is
@@ -110,6 +120,12 @@ module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
 
     [range_query] uses the double-collect discipline: collect the window,
     collect it again, retry until two successive collections agree.
+    What it filters is a torn single pass: with initial [{1, 3}] and one
+    thread running [remove 1; insert 4] during [range_query 1 4], a
+    collection that reads 1 before the remove and 4 after the insert
+    returns [[1; 3; 4]], a window no instant contained (the two updates
+    are ordered in real time); the next collection reads [[3; 4]], so
+    the two disagree and the query collects again.
     This is a stabilisation heuristic, {e not} a snapshot certificate.
     Agreement does not imply the window was stable: with initial [{1}],
     a single updater running
@@ -136,7 +152,20 @@ module Derive (Base : sig
   val fold_range : int -> int -> ('a -> int -> 'a) -> 'a -> t -> 'a
 end) =
 struct
-  let fold f init t = Base.fold_range min_int max_int f init t
+  (* Sentinels are never yielded, so every key is above [min_int].
+     Inlined, so a caller's known [f] is called directly per key. *)
+  let[@inline] ascending lo hi f init t =
+    let last = ref min_int in
+    Base.fold_range lo hi
+      (fun acc v ->
+        if v <= !last then acc
+        else begin
+          last := v;
+          f acc v
+        end)
+      init t
+
+  let fold f init t = ascending min_int max_int f init t
   let iter f t = fold (fun () v -> f v) () t
   let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
   let size t = fold (fun n _ -> n + 1) 0 t
@@ -144,7 +173,7 @@ struct
 
   (* Descending collection (no final reverse) — cheaper to compare across
      retries; reversed once on acceptance. *)
-  let collect t lo hi = Base.fold_range lo hi (fun acc v -> v :: acc) [] t
+  let collect t lo hi = ascending lo hi (fun acc v -> v :: acc) [] t
 
   let stabilize_budget = 64
 

@@ -54,18 +54,7 @@ let[@inline] recycle p = p
 
 type lock = Vbl_sync.Try_lock.t
 
-(* Opt-in cache-line padding for per-node lock words (curbs false sharing
-   between a node's lock and its neighbours at 8 words/lock): set
-   VBL_PADDED_LOCKS=1 in the environment.  Read once at module
-   initialisation so the per-node decision is one immutable bool. *)
-let padded_locks =
-  match Sys.getenv_opt "VBL_PADDED_LOCKS" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let make_lock ?name:_ ~line:_ () =
-  if padded_locks then Vbl_sync.Try_lock.create_padded ()
-  else Vbl_sync.Try_lock.create ()
+let make_lock ?name:_ ~line:_ () = Vbl_sync.Try_lock.create ()
 
 let[@inline] try_lock l = Vbl_sync.Try_lock.try_lock l
 

@@ -191,18 +191,19 @@ let explore_scenario (module S : Vbl_lists.Set_intf.S) ~initial ~(ops : Ll_abstr
   { Explore.make }
 
 (** A range-read exploration scenario: thread 0 runs [range_query lo hi]
-    while threads 1..n run [ops].  Single-key verdicts cannot judge a
-    multi-key read, so the whole history goes through
-    {!Vbl_spec.Multikey.check} instead: every operation is recorded as a
-    multikey event against a logical clock (plain refs — ticks ride
-    along with the adjacent instrumented step, like the history
-    recorder's clock), and the verdict runs in the [invariants] closure
-    at quiescence, after the structural check.  The bool-op history
+    while thread [i] (1..n) runs the [i]-th op sequence of [ops] in
+    order, so one thread's ops are ordered in real time.  Single-key
+    verdicts cannot judge a multi-key read, so the whole history goes
+    through {!Vbl_spec.Multikey.check} instead: every operation is
+    recorded as a multikey event against a logical clock (plain refs —
+    ticks ride along with the adjacent instrumented step, like the
+    history recorder's clock), and the verdict runs in the [invariants]
+    closure at quiescence, after the structural check.  The bool-op history
     handed to the per-key checker is left empty; the multikey search
     subsumes it.  σ̄-style trailing contains probes against the actual
     final contents are appended so lost updates stay visible. *)
 let explore_range_scenario (module S : Vbl_lists.Set_intf.S) ~initial
-    ~range:(lo, hi) ~(ops : Ll_abstract.opspec list) : Explore.scenario =
+    ~range:(lo, hi) ~(ops : Ll_abstract.opspec list list) : Explore.scenario =
   let make () =
     let t =
       Instr.run_sequential (fun () ->
@@ -230,10 +231,13 @@ let explore_range_scenario (module S : Vbl_lists.Set_intf.S) ~initial
           (Vbl_spec.Multikey.Range { lo; hi })
           (fun () -> Vbl_spec.Multikey.Values (S.range_query t lo hi)))
       :: List.mapi
-           (fun i (spec : Ll_abstract.opspec) () ->
-             record (i + 1)
-               (Vbl_spec.Multikey.Single (Ll_abstract.spec_to_model spec))
-               (fun () -> Vbl_spec.Multikey.Bool (run_op (module S) t spec)))
+           (fun i thread_ops () ->
+             List.iter
+               (fun (spec : Ll_abstract.opspec) ->
+                 record (i + 1)
+                   (Vbl_spec.Multikey.Single (Ll_abstract.spec_to_model spec))
+                   (fun () -> Vbl_spec.Multikey.Bool (run_op (module S) t spec)))
+               thread_ops)
            ops
     in
     let invariants () =
@@ -246,7 +250,7 @@ let explore_range_scenario (module S : Vbl_lists.Set_intf.S) ~initial
             List.sort_uniq compare
               (List.map
                  (fun (spec : Ll_abstract.opspec) -> spec.Ll_abstract.v)
-                 ops
+                 (List.concat ops)
               @ initial @ final)
           in
           let probes =

@@ -73,11 +73,12 @@ val explore_range_scenario :
   (module Vbl_lists.Set_intf.S) ->
   initial:int list ->
   range:int * int ->
-  ops:Ll_abstract.opspec list ->
+  ops:Ll_abstract.opspec list list ->
   Explore.scenario
 (** Thread 0 runs [range_query lo hi] concurrently with one thread per
-    op.  The verdict goes through {!Vbl_spec.Multikey.check} — the
-    whole-state linearizability search that can judge a multi-key read —
-    inside the scenario's [invariants] closure, with σ̄-style trailing
-    contains probes against the final contents.  The single-key history
+    op sequence, each running its ops in order.  The verdict goes
+    through {!Vbl_spec.Multikey.check} — the whole-state
+    linearizability search that can judge a multi-key read — inside
+    the scenario's [invariants] closure, with σ̄-style trailing contains
+    probes against the final contents.  The single-key history
     fed to the per-key checker is left empty (subsumed). *)

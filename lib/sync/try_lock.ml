@@ -2,11 +2,6 @@ type t = bool Atomic.t
 
 let create () = Atomic.make false
 
-(* Same lock word, re-allocated so it owns a whole cache line: a release
-   then invalidates nothing but the lock itself.  Costs 8 words per lock
-   instead of 2, so it is opt-in (see Real_mem.padded_locks). *)
-let create_padded () = Padding.copy_as_padded (Atomic.make false)
-
 let[@inline] try_lock t = (not (Atomic.get t)) && Atomic.compare_and_set t false true
 
 (* The backoff window lives in the spin loop's parameters, not a heap

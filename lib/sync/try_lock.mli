@@ -9,13 +9,6 @@ type t
 
 val create : unit -> t
 
-val create_padded : unit -> t
-(** Like {!create}, but the lock word is allocated on its own cache line
-    ({!Padding.copy_as_padded}): a handoff invalidates only the lock, not
-    whatever happened to be allocated next to it.  8 words instead of 2 —
-    worth it for per-node locks under real contention, wasteful for
-    fine-grained single-threaded use. *)
-
 val try_lock : t -> bool
 (** Single CAS attempt; [true] iff now held by the caller. *)
 

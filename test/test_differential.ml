@@ -487,6 +487,42 @@ let range_stress_case impl =
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: invariants after range stress: %s" S.name m)
 
+(* A fold whose callback removes and re-inserts the key it was just
+   given.  On a BST the remove splices the key's node out, its right
+   subtree moves up into the slot, and the insert links the new node at
+   that subtree's leftmost end, which is where the walk goes next: the
+   fold must still yield every key once, ascending.  The coarse wrappers
+   are left out because their fold holds the global lock the callback
+   would take again, and the -reclaim sets because a reclaiming set
+   forbids re-entry from a fold callback. *)
+let fold_reentry_case impl =
+  let module S = (val impl : Vbl_lists.Set_intf.S) in
+  Alcotest.test_case (S.name ^ ": fold meets a re-inserted key once") `Quick (fun () ->
+      let t = S.create () in
+      List.iter (fun v -> ignore (S.insert t v)) [ 30; 50; 60; 70 ];
+      let toggled = ref false in
+      let seen =
+        S.fold
+          (fun acc v ->
+            if v = 50 && not !toggled then begin
+              toggled := true;
+              ignore (S.remove t 50);
+              ignore (S.insert t 50)
+            end;
+            v :: acc)
+          [] t
+      in
+      Alcotest.(check (list int)) "fold" [ 30; 50; 60; 70 ] (List.rev seen))
+
+let fold_reentry_sets =
+  List.filter
+    (fun impl ->
+      let module S = (val impl : Vbl_lists.Set_intf.S) in
+      not
+        (S.name = "coarse" || S.name = "coarse-bst"
+        || String.ends_with ~suffix:"-reclaim" S.name))
+    (Vbl_lists.Registry.all @ Vbl_skiplists.Registry.all @ Vbl_trees.Registry.all)
+
 (* ------------------------------------------------------------------ *)
 (* Mode 3: batched vs one-at-a-time application                        *)
 (* ------------------------------------------------------------------ *)
@@ -566,16 +602,17 @@ module L = Vbl_lists
 module Sk = Vbl_skiplists
 module Tr = Vbl_trees
 
-let twin_case ((generated : Vbl_lists.Registry.impl), (twin : Vbl_lists.Registry.impl)) =
+let twin_case ?(title = "generated instance = functor twin") ?(ops = 4_000)
+    ((generated : Vbl_lists.Registry.impl), (twin : Vbl_lists.Registry.impl)) =
   let module G = (val generated) in
   let module F = (val twin) in
-  Alcotest.test_case (G.name ^ ": generated instance = functor twin") `Quick (fun () ->
+  Alcotest.test_case (G.name ^ ": " ^ title) `Quick (fun () ->
       let rng = Rng.create ~seed:1414L () in
       let g = G.create () and f = F.create () in
       let diverged i fmt =
         Printf.ksprintf (Alcotest.failf "%s: op %d (%s) diverged" G.name i) fmt
       in
-      for i = 1 to 4_000 do
+      for i = 1 to ops do
         let k = 1 + Rng.int rng 64 in
         match Rng.int rng 10 with
         | 0 | 1 | 2 -> if G.insert g k <> F.insert f k then diverged i "insert %d" k
@@ -658,7 +695,8 @@ let () =
     ]
   in
   let range_cases =
-    List.map range_replay_case
+    List.map fold_reentry_case fold_reentry_sets
+    @ List.map range_replay_case
       (Vbl_lists.Registry.concurrent @ Vbl_skiplists.Registry.all
       @ Vbl_trees.Registry.concurrent @ Vbl_shard.Registry.all)
     @ List.map range_stress_case
@@ -683,4 +721,11 @@ let () =
       ("batch", List.map batch_case Vbl_shard.Registry.batched);
       ("range", range_cases);
       ("specialised", List.map twin_case twins);
+      (* The hand-specialised copy perfbench's l1 rung times must agree
+         with the registry vbl, or that rung measures something else. *)
+      ( "vbl-direct",
+        [
+          twin_case ~title:"agrees with the registry vbl" ~ops:20_000
+            ((module Vbl_direct), (module L.Registry.Vbl));
+        ] );
     ]

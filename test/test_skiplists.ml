@@ -278,7 +278,7 @@ let range_explore_tests =
     range_ok "vbl-skiplist"
       (module Vbl_skiplists.Registry.Vbl_skip_i)
       [ 1; 3 ] (1, 3)
-      [ Vbl_sched.Ll_abstract.remove 1; Vbl_sched.Ll_abstract.insert 2 ];
+      [ [ Vbl_sched.Ll_abstract.remove 1 ]; [ Vbl_sched.Ll_abstract.insert 2 ] ];
     (* No remove for the lazy variant: a parked remover leaves its victim
        marked and an insert validating against it retries unboundedly
        (the same loop the directed suite pins as a rejection), which the
@@ -286,7 +286,7 @@ let range_explore_tests =
     range_ok "lazy-skiplist"
       (module Vbl_skiplists.Registry.Lazy_skip_i)
       [ 2 ] (1, 3)
-      [ Vbl_sched.Ll_abstract.insert 1; Vbl_sched.Ll_abstract.insert 3 ];
+      [ [ Vbl_sched.Ll_abstract.insert 1 ]; [ Vbl_sched.Ll_abstract.insert 3 ] ];
   ]
 
 let () =

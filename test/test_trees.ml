@@ -229,17 +229,18 @@ let explore_tests =
         | None -> Alcotest.fail "expected the unsynchronised BST to fail");
   ]
 
-(* Range queries under exploration: a 3-thread scenario per tree — the
-   range thread races two mutators and the whole-state Multikey checker
-   judges every interleaving (Drive.explore_range_scenario).  Bounded
-   scope: two mutators never reach the six-update ABA toggle that
-   defeats the derived double-collect (see the Derive canary in
-   test_lists_seq.ml). *)
+(* Range queries under exploration: the range thread races mutator
+   threads and the whole-state Multikey checker judges every
+   interleaving (Drive.explore_range_scenario).  Bounded scope: these
+   scenarios make at most two updates, far from the six-update ABA
+   toggle that defeats the derived double-collect (see the Derive canary
+   in test_lists_seq.ml).  The two-update scenarios with one thread pin
+   what the double-collect does filter. *)
 let range_explore_tests =
   let config =
     { Vbl_sched.Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
   in
-  let range_ok name impl initial range ops =
+  let range_ok ?(config = config) name impl initial range ops =
     Alcotest.test_case (name ^ ": range query linearizable") `Slow (fun () ->
         let scenario = Vbl_sched.Drive.explore_range_scenario impl ~initial ~range ~ops in
         let r = Vbl_sched.Explore.run ~config scenario in
@@ -248,37 +249,62 @@ let range_explore_tests =
         | None -> ()
         | Some f -> Alcotest.failf "%a" Vbl_sched.Explore.pp_failure f)
   in
+  let module L = Vbl_sched.Ll_abstract in
+  let small = { config with Vbl_sched.Explore.max_executions = 64 } in
   [
     range_ok "vbl-bst"
       (module Vbl_trees.Registry.Vbl_bst_i)
       [ 1; 3 ] (1, 3)
-      [ Vbl_sched.Ll_abstract.remove 1; Vbl_sched.Ll_abstract.insert 2 ];
+      [ [ L.remove 1 ]; [ L.insert 2 ] ];
     range_ok "coarse-bst"
       (module Vbl_trees.Registry.Coarse_bst_i)
       [ 2 ] (1, 3)
-      [ Vbl_sched.Ll_abstract.insert 1; Vbl_sched.Ll_abstract.remove 2 ];
+      [ [ L.insert 1 ]; [ L.remove 2 ] ];
     (* The external trees' routers are what the pruned descent skips:
        removing 1 splices its router while inserting 2 grows one. *)
     range_ok "lazy-bst"
       (module Vbl_trees.Registry.Lazy_bst_i)
       [ 1; 3 ] (1, 3)
-      [ Vbl_sched.Ll_abstract.remove 1; Vbl_sched.Ll_abstract.insert 2 ];
+      [ [ L.remove 1 ]; [ L.insert 2 ] ];
     range_ok "lockfree-bst"
       (module Vbl_trees.Registry.Lockfree_bst_i)
       [ 1; 3 ] (1, 3)
-      [ Vbl_sched.Ll_abstract.remove 1; Vbl_sched.Ll_abstract.insert 2 ];
+      [ [ L.remove 1 ]; [ L.insert 2 ] ];
     (* The window [3, 3] sits below node 2, which the remove splices out
        while the insert tries to link 1 under it. *)
     range_ok "vbl-bst spliced ancestor"
       (module Vbl_trees.Registry.Vbl_bst_i)
       [ 2; 3 ] (3, 3)
-      [ Vbl_sched.Ll_abstract.remove 2; Vbl_sched.Ll_abstract.insert 1 ];
+      [ [ L.remove 2 ]; [ L.insert 1 ] ];
+    (* One thread removes 1, then inserts 4.  A single collecting pass
+       that reads 1 before the remove and 4 after the insert returns
+       [1; 2; 3; 4], a window no instant contained; the second
+       collection disagrees and the query collects again.  A single-pass
+       range_query fails this case.  Node 2 is the root. *)
+    range_ok ~config:small "vbl-bst remove 1; insert 4"
+      (module Vbl_trees.Registry.Vbl_bst_i)
+      [ 2; 1; 3 ] (1, 4)
+      [ [ L.remove 1; L.insert 4 ] ];
+    (* One thread removes 2 and re-inserts it: the re-insertion lands
+       where a walk that has just yielded 2 goes next. *)
+    range_ok ~config:small "vbl-bst remove 2; insert 2"
+      (module Vbl_trees.Registry.Vbl_bst_i)
+      [ 1; 2; 3 ] (1, 3)
+      [ [ L.remove 2; L.insert 2 ] ];
+    range_ok ~config:small "lazy-bst remove 2; insert 2"
+      (module Vbl_trees.Registry.Lazy_bst_i)
+      [ 1; 2; 3 ] (1, 3)
+      [ [ L.remove 2; L.insert 2 ] ];
+    range_ok ~config:small "lockfree-bst remove 2; insert 2"
+      (module Vbl_trees.Registry.Lockfree_bst_i)
+      [ 1; 2; 3 ] (1, 3)
+      [ [ L.remove 2; L.insert 2 ] ];
     Alcotest.test_case "sequential-bst range caught (canary)" `Slow (fun () ->
         let scenario =
           Vbl_sched.Drive.explore_range_scenario
             (module Vbl_trees.Registry.Seq_bst_i)
             ~initial:[] ~range:(1, 3)
-            ~ops:[ Vbl_sched.Ll_abstract.insert 1; Vbl_sched.Ll_abstract.insert 3 ]
+            ~ops:[ [ L.insert 1 ]; [ L.insert 3 ] ]
         in
         let r = Vbl_sched.Explore.run ~config scenario in
         match r.Vbl_sched.Explore.failure with
