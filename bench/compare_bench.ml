@@ -8,7 +8,9 @@
    (default 10) below the old one.  Exits 1 if any
    point regressed (so it can gate CI), 2 if the point sets differ without
    any regression (warning only: the snapshots do not cover the same
-   workload matrix), 64 on usage errors, 0 otherwise.
+   workload matrix), 64 on usage errors, 0 otherwise.  A snapshot that
+   cannot be read or parsed, and a threshold that is not a non-negative
+   number, are usage errors: one line on stderr, nothing on stdout.
 
    The schema is small and fixed, so the JSON reader below is a minimal
    recursive-descent parser rather than a library dependency. *)
@@ -155,6 +157,13 @@ let parse (s : string) : json =
   if !pos <> n then fail "trailing garbage";
   v
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("compare_bench: " ^ msg);
+      exit 64)
+    fmt
+
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
@@ -171,32 +180,37 @@ let str_exn what = function
 type point = { algorithm : string; threads : int; update : int; range : int; mean : float }
 
 let load_points file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  let root = parse contents in
-  let points = match member "points" root with Some (Arr l) -> l | _ -> [] in
-  let unit_ = match member "unit" root with Some (Str u) -> u | _ -> "?" in
-  ( unit_,
-    List.map
-      (fun p ->
-        {
-          algorithm = str_exn "algorithm" (member "algorithm" p);
-          threads = int_of_float (num_exn "threads" (member "threads" p));
-          update = int_of_float (num_exn "update_percent" (member "update_percent" p));
-          range = int_of_float (num_exn "key_range" (member "key_range" p));
-          mean =
-            num_exn "throughput.mean"
-              (Option.bind (member "throughput" p) (member "mean"));
-        })
-      points )
+  let contents =
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error msg -> usage_error "cannot read snapshot: %s" msg
+  in
+  try
+    let root = parse contents in
+    let points = match member "points" root with Some (Arr l) -> l | _ -> [] in
+    let unit_ = match member "unit" root with Some (Str u) -> u | _ -> "?" in
+    ( unit_,
+      List.map
+        (fun p ->
+          {
+            algorithm = str_exn "algorithm" (member "algorithm" p);
+            threads = int_of_float (num_exn "threads" (member "threads" p));
+            update = int_of_float (num_exn "update_percent" (member "update_percent" p));
+            range = int_of_float (num_exn "key_range" (member "key_range" p));
+            mean =
+              num_exn "throughput.mean"
+                (Option.bind (member "throughput" p) (member "mean"));
+          })
+        points )
+  with Parse_error msg | Failure msg -> usage_error "%s: malformed snapshot: %s" file msg
 
 let () =
   let args = Array.to_list Sys.argv in
   let rec split files threshold = function
     | [] -> (List.rev files, threshold)
-    | "--threshold" :: v :: rest -> split files (float_of_string v) rest
+    | "--threshold" :: v :: rest -> (
+        match float_of_string_opt v with
+        | Some t when t >= 0. -> split files t rest
+        | _ -> usage_error "invalid --threshold %S: expected a non-negative number" v)
     | f :: rest -> split (f :: files) threshold rest
   in
   match split [] 10.0 (List.tl args) with

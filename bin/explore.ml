@@ -18,7 +18,9 @@
    vbl-unlocked-unlink), and --stats prints explorer statistics.
 
    Exit status: 0 all explored executions pass, 1 a violation was found,
-   2 malformed command line (unparseable --bound/--sct/--preemptions). *)
+   2 malformed command line, rejected before anything runs (unknown -a,
+   unparseable --ops/--initial/--bound/--sct/--preemptions, non-positive
+   --max-executions). *)
 
 module Explore = Vbl_sched.Explore
 module Shrink = Vbl_sched.Shrink
@@ -36,21 +38,28 @@ let bad fmt =
       exit 2)
     fmt
 
+let key flag s v =
+  match int_of_string_opt v with
+  | Some k -> k
+  | None -> bad "invalid %s %S: %S is not an integer key" flag s v
+
 let parse_ops s =
   s |> String.split_on_char ','
   |> List.filter_map (fun chunk ->
          match String.split_on_char ' ' (String.trim chunk) with
          | [ "" ] -> None
-         | [ "insert"; v ] -> Some (Vbl_sched.Ll_abstract.insert (int_of_string v))
-         | [ "remove"; v ] -> Some (Vbl_sched.Ll_abstract.remove (int_of_string v))
-         | [ "contains"; v ] -> Some (Vbl_sched.Ll_abstract.contains (int_of_string v))
-         | _ -> failwith ("cannot parse operation: " ^ chunk))
+         | [ "insert"; v ] -> Some (Vbl_sched.Ll_abstract.insert (key "--ops" s v))
+         | [ "remove"; v ] -> Some (Vbl_sched.Ll_abstract.remove (key "--ops" s v))
+         | [ "contains"; v ] -> Some (Vbl_sched.Ll_abstract.contains (key "--ops" s v))
+         | _ ->
+             bad "invalid --ops %S: cannot parse %S (expected insert N, remove N or contains N)"
+               s (String.trim chunk))
 
 let parse_ints s =
   s |> String.split_on_char ','
   |> List.filter_map (fun x ->
          let x = String.trim x in
-         if x = "" then None else Some (int_of_string x))
+         if x = "" then None else Some (key "--initial" s x))
 
 let parse_bound s =
   let budget kind n =
@@ -74,7 +83,10 @@ let parse_sct s =
 
 let find_impl nm =
   try Vbl_harness.Sweep.find_instrumented nm
-  with Invalid_argument _ -> Vbl_analysis.Mutants.find nm
+  with Invalid_argument _ -> (
+    try Vbl_analysis.Mutants.find nm
+    with Invalid_argument _ ->
+      bad "unknown algorithm %S: neither an instrumented set nor a seeded mutant" nm)
 
 let () =
   let algo = ref "vbl" in
@@ -120,6 +132,8 @@ let () =
       | Some n when n >= 0 -> Some n
       | _ -> bad "invalid --preemptions %S (expected a non-negative integer or 'none')" !preemptions
   in
+  if !max_executions < 1 then
+    bad "invalid --max-executions %d: the execution cap must be positive" !max_executions;
   let config =
     { Vbl_sched.Explore.max_executions = !max_executions; preemption_bound; max_steps = 20_000 }
   in

@@ -63,6 +63,12 @@ let mutation_cases : case list =
     { mutant = "bst-unlocked-rotation-window";
       initial = [ 1 ];
       ops = [ Ll.remove 1; Ll.insert 2 ] };
+    (* with one shared clean stamp, insert 2's flag CAS succeeds on the
+       stamp it read before insert 1 flagged, linked and unflagged the
+       same router; its child CAS then fails silently and key 2 is lost *)
+    { mutant = "lockfree-bst-shared-clean";
+      initial = [];
+      ops = [ Ll.insert 1; Ll.insert 2 ] };
     (* use-after-reclaim: remove retires a node, insert recycles it under
        a contains parked on it (see test_reclaim.ml for the full shape) *)
     { mutant = "vbl-reclaim-eager";
@@ -94,8 +100,8 @@ let mutation_suite ?config ?strategy () : mutation_result list =
 
 (* Conflict-heavy scenarios over the clean implementations that must pass
    the full analysis with no failure of any kind.  The BST entries mirror
-   the two BST mutant scenarios: the clean versioned-lock tree must
-   survive exactly the schedules its mutants lose updates on. *)
+   the three BST mutant scenarios: each clean tree must survive exactly
+   the schedules its mutants lose updates on. *)
 let clean_cases : (string * int list * Ll.opspec list) list =
   [
     ("vbl", [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
@@ -107,6 +113,7 @@ let clean_cases : (string * int list * Ll.opspec list) list =
     ("harris-michael", [ 5 ], [ Ll.remove 5; Ll.insert 7 ]);
     ("vbl-bst", [], [ Ll.insert 1; Ll.insert 2 ]);
     ("vbl-bst", [ 1 ], [ Ll.remove 1; Ll.insert 2 ]);
+    ("lockfree-bst", [], [ Ll.insert 1; Ll.insert 2 ]);
   ]
 
 (* Clean-case lookup across the list and tree instrumented registries. *)

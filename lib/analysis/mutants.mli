@@ -1,58 +1,8 @@
-(** Seeded-bug variants of the VBL and lazy lists — the ground truth the
-    analysis layer is validated against.  Each mutant is the clean
-    algorithm with exactly one discipline edit, selected by a knob module
-    so the diff against the clean code is a single conditional; the
-    implementation's header documents which analysis catches which seed.
-
-    To add a mutation: add a knob defaulting to the clean behaviour,
-    guard the single deviating statement on it, instantiate over
-    [Instr_mem], and register the instance in {!all} plus a catching
-    scenario in [Check.mutation_cases]. *)
-
-module type VBL_KNOBS = sig
-  val name : string
-
-  val deleted_check : bool
-  (** lock validations test the logical-delete flag (clean: [true]) *)
-
-  val locked_unlink : bool
-  (** remove holds [prev]'s lock across the unlink (clean: [true]) *)
-
-  val logical_delete : bool
-  (** remove marks the victim before unlinking (clean: [true]) *)
-
-  val release_after_insert : bool
-  (** insert releases [prev]'s lock on the success path (clean: [true]) *)
-end
-
-module type LAZY_KNOBS = sig
-  val name : string
-
-  val validation : bool
-  (** updates validate adjacency and marks after locking (clean: [true]) *)
-end
-
-module Make_vbl (_ : VBL_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S
-(** The VBL algorithm (verbatim from [Vbl_lists.Vbl_list]) with the
-    discipline edits of the knobs applied. *)
-
-module Make_lazy (_ : LAZY_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S
-(** The lazy list (verbatim from [Vbl_lists.Lazy_list]) with the
-    discipline edits of the knobs applied. *)
-
-module type BST_KNOBS = sig
-  val name : string
-
-  val version_recheck : bool
-  (** insert validates the window version under the tree lock (clean: [true]) *)
-
-  val locked_window : bool
-  (** the splice holds the victim's tree lock across the window (clean: [true]) *)
-end
-
-module Make_bst (_ : BST_KNOBS) (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S
-(** The partially-external versioned-lock BST (verbatim from
-    [Vbl_trees.Vbl_bst]) with the discipline edits of the knobs applied. *)
+(** Seeded-bug variants of the lists and BSTs — the ground truth the
+    analysis layer is validated against.  Each algorithm mutant is a clean
+    source plus one diff in [lib/analysis/seeds/], applied at build time;
+    the implementation's header says what each seed breaks and what
+    catches it, FRAMEWORK.md ("How to add a mutation") how to add one. *)
 
 module Vbl_no_deleted_check : Vbl_lists.Set_intf.S
 module Vbl_unlocked_unlink : Vbl_lists.Set_intf.S
@@ -61,6 +11,7 @@ module Vbl_leaky_lock : Vbl_lists.Set_intf.S
 module Lazy_no_validation : Vbl_lists.Set_intf.S
 module Bst_no_version_recheck : Vbl_lists.Set_intf.S
 module Bst_unlocked_rotation_window : Vbl_lists.Set_intf.S
+module Lockfree_bst_shared_clean : Vbl_lists.Set_intf.S
 
 module Vbl_reclaim_eager : Vbl_lists.Set_intf.S
 (** The clean VBL list over {!Vbl_memops.Instr_reclaim.Eager}: a backend

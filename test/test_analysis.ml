@@ -514,6 +514,7 @@ let expected_shrunk_steps =
     ("bst-no-version-recheck", 4);
     ("bst-unlocked-rotation-window", 7);
     ("vbl-reclaim-eager", 0);
+    ("lockfree-bst-shared-clean", 5);
   ]
 
 let shrink_tests =
@@ -592,6 +593,28 @@ let shrink_tests =
         let v2 = Shrink.replay ~max_steps:5_000 scenario noisy in
         Alcotest.(check bool) "replay is reproducible" true
           ((v1 = None) = (v2 = None)));
+  ]
+
+(* A mutant registered in [Mutants.all] but given no case is never
+   explored, and one given no pinned minimum is never shrink-checked:
+   the three tables must name the same mutants, each exactly once. *)
+let registration_tests =
+  [
+    Alcotest.test_case "every mutant has one case and one pinned minimum" `Quick
+      (fun () ->
+        let registered =
+          List.map (fun (module S : Vbl_lists.Set_intf.S) -> S.name) Mutants.all
+        in
+        List.iter
+          (fun (table, names) ->
+            Alcotest.(check (list string))
+              (table ^ " names each mutant of Mutants.all once")
+              (List.sort compare registered) (List.sort compare names))
+          [
+            ("Mutants.all", List.sort_uniq compare registered);
+            ("Check.mutation_cases", List.map (fun c -> c.Check.mutant) Check.mutation_cases);
+            ("expected_shrunk_steps", List.map fst expected_shrunk_steps);
+          ])
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -737,5 +760,6 @@ let () =
       ("integration", integration_tests);
       ("mutation", mutation_tests);
       ("shrink", shrink_tests);
+      ("registration", registration_tests);
       ("scale", scale_tests);
     ]
