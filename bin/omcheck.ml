@@ -243,4 +243,4 @@ let cmd =
   let doc = "validate OpenMetrics and Chrome trace exporter output" in
   Cmd.v (Cmd.info "omcheck" ~doc) Term.(const run $ chrome_arg $ files_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

@@ -116,21 +116,22 @@ module Make (Cfg : CONFIG) = struct
       catch_up p (budget - 1)
     end
 
+  (* A miss with empty bags gives up at once, as the real pool does: no
+     advance could free a node.  [Eager] never fills a bag, so every
+     [Eager] miss ends here. *)
   let recycle p =
     match p.free with
     | x :: tl ->
         p.free <- tl;
         x
+    | [] when p.bag_lens.(0) + p.bag_lens.(1) + p.bag_lens.(2) = 0 -> p.dummy
     | [] -> (
-        if Cfg.eager then p.dummy
-        else begin
-          catch_up p 3;
-          match p.free with
-          | x :: tl ->
-              p.free <- tl;
-              x
-          | [] -> p.dummy
-        end)
+        catch_up p 3;
+        match p.free with
+        | x :: tl ->
+            p.free <- tl;
+            x
+        | [] -> p.dummy)
 end
 
 module Safe = Make (struct

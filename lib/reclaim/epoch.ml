@@ -23,36 +23,70 @@
    cannot reach [e+2] (and so nothing retired at [e] can be recycled)
    until the domain leaves.
 
-   Slot registration is a lock-free push on an atomic list, so
-   {!try_advance} never blocks and never allocates.  The push-then-
-   announce order makes a scan that misses a just-registered domain
-   benign: the missed domain validated its announcement against an epoch
-   no older than the scan's, so the *next* advance sees it — exactly the
+   Each domain holds one small index, claimed on its first operation
+   through the single DLS key below and handed back at [Domain.at_exit],
+   so the next domain to start reuses it.  Indices therefore stay below
+   the peak number of live domains, and they address both the slot table
+   here and every {!Pool}'s per-domain states.  A domain must not run a
+   set operation from an [at_exit] callback it registered before its
+   first operation: such a callback runs after the index is handed back.
+
+   The slot table grows by copy and CAS, so {!try_advance} never blocks
+   and never allocates.  A domain's slot is in the table before its first
+   announce, so a scan that misses a just-registered domain is benign:
+   the missed domain validated its announcement against an epoch no
+   older than the scan's, so the *next* advance sees it — exactly the
    one-epoch slip the two-epoch grace period absorbs. *)
 
 module Probe = Vbl_obs.Probe
 module C = Vbl_obs.Metrics
 
 (* Epochs start at 1 so that announcement slot value 0 always means
-   quiescent. *)
-let global = Atomic.make 1
+   quiescent.  Padded: every operation reads the counter, so its line
+   must not be shared with a word that something else writes. *)
+let global = Vbl_sync.Padding.copy_as_padded (Atomic.make 1)
 
 type slot = int Atomic.t
 
-(* Every slot that ever existed, for {!try_advance} scans.  Domains are
-   never unregistered: a dead domain's slot reads 0 forever, which never
-   blocks an advance. *)
-let slots : slot list Atomic.t = Atomic.make []
+let rec entry table i make =
+  let a = Atomic.get table in
+  if i < Array.length a then a.(i)
+  else
+    let b = Array.init (i + 1) (fun j -> if j < Array.length a then a.(j) else make ()) in
+    if Atomic.compare_and_set table a b then b.(i) else entry table i make
 
-let rec register (s : slot) =
-  let old = Atomic.get slots in
-  if not (Atomic.compare_and_set slots old (s :: old)) then register s
+(* Announcement slots by domain index.  A slot reads 0 while its index
+   is unclaimed, which never blocks an advance. *)
+let slots : slot array Atomic.t = Atomic.make [||]
 
-let slot_key =
+(* Indices issued so far, and those handed back by exited domains. *)
+let issued = Atomic.make 0
+let returned : int list Atomic.t = Atomic.make []
+
+let rec claim_index () =
+  match Atomic.get returned with
+  | [] -> Atomic.fetch_and_add issued 1
+  | i :: rest as old ->
+      if Atomic.compare_and_set returned old rest then i else claim_index ()
+
+let rec return_index i =
+  let old = Atomic.get returned in
+  if not (Atomic.compare_and_set returned old (i :: old)) then return_index i
+
+type handle = { index : int; slot : slot }
+
+let key =
   Domain.DLS.new_key (fun () ->
-      let s = Vbl_sync.Padding.copy_as_padded (Atomic.make 0) in
-      register s;
-      s)
+      let index = claim_index () in
+      let slot = entry slots index (fun () -> Vbl_sync.Padding.copy_as_padded (Atomic.make 0)) in
+      Domain.at_exit (fun () ->
+          (* Quiesce first: a domain that died inside an operation must
+             not hold the epoch back until its index is reused. *)
+          Atomic.set slot 0;
+          return_index index);
+      { index; slot })
+
+let index () = (Domain.DLS.get key).index
 
 let current () = Atomic.get global
 
@@ -65,22 +99,22 @@ let rec announce s =
      announcement may be too stale to pin anything — redo it. *)
   if Atomic.get global = e then e else announce s
 
-let enter () = announce (Domain.DLS.get slot_key)
+let enter () = announce (Domain.DLS.get key).slot
 
-let leave () = Atomic.set (Domain.DLS.get slot_key) 0
+let leave () = Atomic.set (Domain.DLS.get key).slot 0
 
 (* One advance attempt: scan every announcement and bump the counter if
    no domain is still inside an older epoch.  Returns the (possibly just
    advanced) current epoch.  Allocation-free: the scan walks the existing
-   slot list. *)
-let rec all_current e = function
-  | [] -> true
-  | s :: rest ->
-      let a = Atomic.get s in
-      (a = 0 || a = e) && all_current e rest
+   slot table. *)
+let rec all_current e a i =
+  i < 0
+  || (let s = Atomic.get a.(i) in
+      (s = 0 || s = e) && all_current e a (i - 1))
 
 let try_advance () =
   let e = Atomic.get global in
-  if all_current e (Atomic.get slots) then
+  let a = Atomic.get slots in
+  if all_current e a (Array.length a - 1) then
     if Atomic.compare_and_set global e (e + 1) then Probe.count C.Reclaim_epoch_advances;
   Atomic.get global

@@ -5,18 +5,25 @@
    epoch reaches [e + 2] the bag for [e] has aged out and its contents
    move wholesale onto the same domain's free-list, where {!recycle}
    hands them back to inserts.  Everything here is single-writer: a
-   domain only ever touches its own bags and free-list (reached through
-   {!Domain.DLS}), so the hot paths are plain loads and stores — the
-   epoch counter is the only shared state.
+   domain only ever touches the state at its own {!Epoch.index}, so the
+   hot paths are plain loads and stores — the epoch counter is the only
+   shared state.
+
+   The pool owns its per-domain states, in an array indexed by
+   {!Epoch.index} and grown by copy and CAS, so a dropped set takes its
+   limbo and free-list with it.  A domain that reuses the index of one
+   that exited inherits that domain's bags and free-list.
 
    Costs, for the cost model in FRAMEWORK.md: a retire pushes one list
    cons (3 words) and every [advance_period]-th retire pays one
    {!Epoch.try_advance} scan; a recycle that hits the free-list is
-   allocation-free (one DLS read, one list-head pop); a recycle miss
-   attempts an epoch advance and a bag rotation before giving up and
-   reporting the miss by returning the pool's [dummy] (callers compare
-   with [==] and allocate a fresh node — never [Some]/[None], which would
-   put an allocation on the [@hot] insert path). *)
+   allocation-free (one DLS read, one state lookup, one list-head pop).
+   A recycle miss with nodes in limbo attempts an epoch advance and a bag
+   rotation before giving up; with an empty limbo no advance could free
+   a node, so it gives up at once.  Either way it reports the miss by
+   returning the pool's [dummy] (callers compare with [==] and allocate a
+   fresh node — never [Some]/[None], which would put an allocation on the
+   [@hot] insert path). *)
 
 module Probe = Vbl_obs.Probe
 module C = Vbl_obs.Metrics
@@ -33,8 +40,7 @@ type 'a dstate = {
 type 'a t = {
   dummy : 'a;
       (* sentinel returned by a recycle miss; never stored in any bag *)
-  key : 'a dstate Domain.DLS.key;
-  states : 'a dstate list Atomic.t;  (* every domain's state, for {!stats} *)
+  states : 'a dstate array Atomic.t;  (* by {!Epoch.index} *)
 }
 
 (* Attempt a global-epoch advance every 32 retires: frequent enough that
@@ -42,28 +48,22 @@ type 'a t = {
    that the slot scan is amortized noise. *)
 let advance_period = 32
 
-let create ~dummy =
-  let states = Atomic.make [] in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let d =
-          {
-            bags = [| []; []; [] |];
-            bag_lens = [| 0; 0; 0 |];
-            bag_epoch = Epoch.current ();
-            free = [];
-            free_len = 0;
-            ticks = 0;
-          }
-        in
-        let rec reg () =
-          let old = Atomic.get states in
-          if not (Atomic.compare_and_set states old (d :: old)) then reg ()
-        in
-        reg ();
-        d)
-  in
-  { dummy; key; states }
+let create ~dummy = { dummy; states = Atomic.make [||] }
+
+let fresh_state () =
+  {
+    bags = [| []; []; [] |];
+    bag_lens = [| 0; 0; 0 |];
+    bag_epoch = Epoch.current ();
+    free = [];
+    free_len = 0;
+    ticks = 0;
+  }
+
+(* The hit is inlined here; [Epoch.entry], which grows, is a call. *)
+let[@inline] state p =
+  let i = Epoch.index () and a = Atomic.get p.states in
+  if i < Array.length a then a.(i) else Epoch.entry p.states i fresh_state
 
 (* Catch [d] up with the current epoch [e], moving every aged-out bag
    onto the free-list.  A bag moves when [bag_epoch] passes it again,
@@ -106,7 +106,7 @@ let rotate d e =
     done
 
 let retire p x =
-  let d = Domain.DLS.get p.key in
+  let d = state p in
   let e = Epoch.current () in
   if e <> d.bag_epoch then rotate d e;
   let i = e mod 3 in
@@ -117,13 +117,14 @@ let retire p x =
   if d.ticks mod advance_period = 0 then ignore (Epoch.try_advance () : int)
 
 let[@hot] recycle p =
-  let d = Domain.DLS.get p.key in
+  let d = state p in
   match d.free with
   | x :: tl ->
       d.free <- tl;
       d.free_len <- d.free_len - 1;
       Probe.count C.Reclaim_recycled;
       x
+  | [] when d.bag_lens.(0) + d.bag_lens.(1) + d.bag_lens.(2) = 0 -> p.dummy
   | [] -> (
       (* Miss: help the epoch along and pull any bag that just aged out.
          Still allocation-free — the wholesale branch of [rotate]. *)
@@ -142,7 +143,7 @@ type stats = { limbo : int; free : int }
 (* Racy cross-domain sums — gauges for reports, exact only at
    quiescence. *)
 let stats p =
-  List.fold_left
+  Array.fold_left
     (fun acc d ->
       {
         limbo = acc.limbo + d.bag_lens.(0) + d.bag_lens.(1) + d.bag_lens.(2);

@@ -4,8 +4,11 @@
     [recycle] hands back a node whose grace period (two epoch advances)
     has verifiably passed, or the pool's [dummy] sentinel when none is
     available.  Callers compare the result against their dummy with [==]
-    — no option allocation on the hot insert path.  All per-node state is
-    domain-local ({!Domain.DLS}); only the epoch counter is shared. *)
+    — no option allocation on the hot insert path.  The pool owns one
+    state per domain, addressed by {!Epoch.index}: a domain only touches
+    its own, and a dropped pool takes every state with it.  A domain that
+    reuses an exited domain's index inherits its limbo and free-list.
+    Only the epoch counter is shared. *)
 
 type 'a t
 
@@ -22,8 +25,10 @@ val retire : 'a t -> 'a -> unit
 
 val recycle : 'a t -> 'a
 (** Pop a node whose grace period has passed, or the pool's dummy.
-    Allocation-free (the miss path attempts an epoch advance and a
-    wholesale bag rotation before giving up). *)
+    Allocation-free after the domain's first call on this pool.  A miss
+    with nodes in the caller's limbo attempts an epoch advance and a
+    wholesale bag rotation before giving up; a miss with an empty limbo
+    returns the dummy at once, since no advance could free a node. *)
 
 type stats = { limbo : int; free : int }
 

@@ -3,7 +3,9 @@
    Real backend: churn workloads must actually recycle (inserts served
    from the free-list), the global epoch must advance, and limbo depth
    (retired minus freed) must stay bounded by a few advance periods
-   rather than growing with churn volume.
+   rather than growing with churn volume.  A growing set must leave the
+   epoch alone, and neither a dropped set nor an exited domain may
+   strand memory.
 
    Instrumented backend: DPOR explores the epoch protocol itself.  The
    grace-respecting [Instr_reclaim.Safe] backend must check out clean on
@@ -31,7 +33,8 @@ let with_metrics f =
 let rounds = 100
 let range = 64
 
-let churn (type s) (module S : Vbl_lists.Set_intf.S with type t = s) (t : s) =
+let churn ?(rounds = rounds) (type s) (module S : Vbl_lists.Set_intf.S with type t = s)
+    (t : s) =
   for _round = 1 to rounds do
     for v = 1 to range do
       ignore (S.insert t v : bool)
@@ -150,6 +153,73 @@ let real_cases =
         Alcotest.test_case (name ^ ": fold parked across a grace period") `Quick
           (parked_fold_sees_untouched_keys name))
       [ "vbl-reclaim"; "lazy-reclaim"; "harris-michael-reclaim" ]
+
+(* ------------------------------------------------------------------ *)
+(* Real backend: reclamation costs only what it reclaims.              *)
+(* ------------------------------------------------------------------ *)
+
+module Vbl_reclaim = Reg.Vbl_reclaim
+
+(* A growing set has nothing in limbo, so no epoch advance could serve
+   one of its inserts: building it must leave the epoch alone. *)
+let fresh_inserts_skip_advance () =
+  let t = Vbl_reclaim.create () in
+  with_metrics (fun () ->
+      for v = 1 to 1000 do
+        ignore (Vbl_reclaim.insert t v : bool)
+      done);
+  Alcotest.(check int) "epoch advances" 0
+    (Metrics.get (Metrics.snapshot ()) Metrics.Reclaim_epoch_advances)
+
+(* A set owns its limbo and free-lists, so dropping it frees them: after
+   a warm-up, 200 more created, churned and dropped sets must leave the
+   live heap where it was. *)
+let dropped_sets_free_their_pools () =
+  let churn_and_drop n =
+    for _ = 1 to n do
+      churn ~rounds:20 (module Vbl_reclaim) (Vbl_reclaim.create ())
+    done
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  churn_and_drop 50;
+  let before = live_words () in
+  churn_and_drop 200;
+  let growth = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grow by %d over 200 dropped sets" growth)
+    true (growth < 2000)
+
+(* A domain that starts after another exited reuses its index and
+   inherits its limbo and free-list, so churn by 64 short-lived domains
+   in turn strands no more nodes than one domain leaves behind. *)
+let exited_domains_hand_nodes_on () =
+  let t = Vbl_reclaim.create () in
+  with_metrics (fun () ->
+      for _ = 1 to 64 do
+        Domain.join (Domain.spawn (fun () -> churn ~rounds:20 (module Vbl_reclaim) t))
+      done);
+  (match Vbl_reclaim.check_invariants t with Ok () -> () | Error m -> Alcotest.fail m);
+  let s = Metrics.snapshot () in
+  let stranded =
+    Metrics.get s Metrics.Reclaim_retired - Metrics.get s Metrics.Reclaim_recycled
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d nodes left in limbo or on free-lists" stranded)
+    true (stranded <= 128)
+
+let real_cases =
+  real_cases
+  @ [
+      Alcotest.test_case "vbl-reclaim: fresh inserts never advance the epoch" `Quick
+        fresh_inserts_skip_advance;
+      Alcotest.test_case "vbl-reclaim: dropped sets free their pools" `Quick
+        dropped_sets_free_their_pools;
+      Alcotest.test_case "vbl-reclaim: exited domains hand their nodes on" `Quick
+        exited_domains_hand_nodes_on;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented backend: DPOR over the epoch protocol.                 *)
