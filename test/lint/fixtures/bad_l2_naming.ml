@@ -15,3 +15,9 @@ let bad_guard_wrong_sense named =
   match named with true -> Naming.head | false -> ""
 
 let good_when named = match () with () when named -> Naming.head | _ -> ""
+
+(* A one-constructor builder whose name expression escapes the guard: the
+   real backend would build the string only to ignore it. *)
+let bad_field v =
+  let line = M.fresh_line () in
+  M.field (Naming.node v) ".val" ~line v

@@ -6,18 +6,18 @@ module Make (M : Mem) = struct
     | Node of { value : int M.cell; next : node M.cell; lock : M.lock }
     | Tail of { value : int M.cell }
 
+  (* One builder for every backend: only the name expression is guarded,
+     and the real backend's [field] ignores the node name and suffix. *)
   let make_node v next =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node v in
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line v;
-          next = M.make ~name:(Naming.next_cell nm) ~line next;
-          lock = M.make_lock ~name:(Naming.lock_cell nm) ~line ();
-        }
-    end
-    else Node { value = M.make ~line v; next = M.make ~line next; lock = M.make_lock ~line () }
+    let nm = if M.named then Naming.node v else "" in
+    M.new_node ~name:nm ~line;
+    Node
+      {
+        value = M.field nm ".val" ~line v;
+        next = M.field nm ".next" ~line next;
+        lock = M.field_lock nm ".lock" ~line ();
+      }
 
   let[@hot] [@acquires] lock_next_at node at =
     M.lock (node_lock node);

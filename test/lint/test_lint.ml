@@ -38,8 +38,17 @@ let l1_mutation () =
     (spans ~rules:[ F.L1 ] "bad_l1_mutation.ml")
 
 let l2_naming () =
-  check_spans "unguarded Naming mentions flagged, guarded and when-guarded ones clean"
-    [ ("L2", 11, 13); ("L2", 11, 31); ("L2", 12, 19); ("L2", 12, 32); ("L2", 15, 27) ]
+  check_spans
+    "unguarded Naming mentions flagged, also as a field's node name; guarded and \
+     when-guarded ones clean"
+    [
+      ("L2", 11, 13);
+      ("L2", 11, 31);
+      ("L2", 12, 19);
+      ("L2", 12, 32);
+      ("L2", 15, 27);
+      ("L2", 23, 11);
+    ]
     (spans ~rules:[ F.L2 ] "bad_l2_naming.ml")
 
 let l3_leak () =

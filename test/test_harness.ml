@@ -146,6 +146,84 @@ let sweep_tests =
         Alcotest.(check int) "lines" 3 (List.length (String.split_on_char '\n' csv)));
   ]
 
+(* The step-name vocabulary of every instrumented set: the distinct names
+   one seeded simulated run steps through, digit runs written [#].
+   Schedule scripts address steps by these names and [Pattern] classifies
+   steps by their suffixes, so a builder that names a cell differently on
+   some path shows up here.  An empty name is a cell the set leaves
+   unnamed (the sharded frontends' size stripes). *)
+let vocabulary =
+  let lists = "X# X#.del X#.lock X#.next X#.val h.del h.lock h.next" in
+  let skiplists = "X# X#.del X#.linked X#.lock X#.next# X#.val h.del h.lock h.next# t.val" in
+  let bsts = "L# L#.val Lmin.val R# R#.del R#.key R#.left R#.right Rmax.key Rmax.left" in
+  let sharded = " X# X#.del X#.lock X#.next X#.val h.del h.lock h.next h.val t.val" in
+  [
+    ("sequential", "X# X#.next X#.val h.next t.val");
+    ("coarse", "X# X#.next X#.val global.lock h.next t.val");
+    ("hand-over-hand", "X# X#.lock X#.next X#.val h.lock h.next t.lock t.val");
+    ("optimistic", "X# X#.lock X#.next X#.val h.lock h.next h.val t.lock t.val");
+    ("lazy", lists ^ " t.del t.lock t.val");
+    ("harris-michael", "X# X#.amr X#.val h.amr pair");
+    ("harris-michael-tagged", "X# X#.next X#.val h.next");
+    ("fomitchev-ruppert", "X# X#.back X#.next X#.val h.next h.val t.val");
+    ("vbl-postlock", lists ^ " h.val t.val");
+    ( "vbl-versioned",
+      "X# X#.del X#.lock X#.next X#.val X#.ver h.del h.lock h.next h.val h.ver t.val" );
+    ("vbl", lists ^ " h.val t.val");
+    ("lazy-reclaim", lists ^ " reclaim.epoch t.del t.lock t.val");
+    ("harris-michael-reclaim", "X# X#.amr X#.val h.amr pair reclaim.epoch");
+    ("vbl-reclaim", lists ^ " h.val reclaim.epoch t.val");
+    ("lazy-skiplist", skiplists);
+    ("vbl-skiplist", skiplists);
+    ("lockfree-skiplist", "X# X#.next# X#.val h.next# t.val");
+    ("sequential-bst", bsts);
+    ("coarse-bst", bsts ^ " bst.lock");
+    ( "lazy-bst",
+      "L# L#.val Lmin.val R# R#.del R#.key R#.left R#.lock R#.right Rmax.del Rmax.key \
+       Rmax.left Rmax.lock" );
+    ("lockfree-bst", "L# R# R#.left R#.right R#.upd Rmax.left Rmax.upd");
+    ( "vbl-bst",
+      "N# N#.del N#.left N#.lock N#.right N#.slock N#.ulk N#.ver rt.left rt.lock rt.ulk \
+       rt.ver" );
+    ("vbl-sharded-2", sharded);
+    ("vbl-sharded-4", sharded);
+    ("vbl-sharded-8", sharded);
+    ("vbl-sharded-16", sharded);
+  ]
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+(* [s] with each run of digits replaced by one [#]. *)
+let hash_digits s =
+  let b = Buffer.create (String.length s) in
+  String.iteri
+    (fun i c ->
+      if not (is_digit c) then Buffer.add_char b c
+      else if i = 0 || not (is_digit s.[i - 1]) then Buffer.add_char b '#')
+    s;
+  Buffer.contents b
+
+let step_vocabulary name =
+  let impl = Vbl_harness.Sweep.find_instrumented name in
+  let threads = if name = "sequential" || name = "sequential-bst" then 1 else 3 in
+  let tr = Vbl_obs.Trace.create ~capacity:65_536 () in
+  Vbl_obs.Probe.install (Vbl_obs.Probe.tracer tr);
+  Fun.protect ~finally:Vbl_obs.Probe.uninstall (fun () ->
+      ignore
+        (Vbl_sim.Sim_run.run impl
+           {
+             Vbl_sim.Sim_run.threads;
+             update_percent = 60;
+             key_range = 12;
+             horizon = 5_000.;
+             seed = 7L;
+             zipf = None;
+           }));
+  Alcotest.(check int) (name ^ ": no event dropped") 0 (Vbl_obs.Trace.dropped tr);
+  Vbl_obs.Trace.events tr
+  |> List.map (fun (e : Vbl_obs.Trace.event) -> hash_digits e.step)
+  |> List.sort_uniq compare |> String.concat " "
+
 let lookup_tests =
   [
     Alcotest.test_case "find_real resolves every registry" `Quick (fun () ->
@@ -162,6 +240,12 @@ let lookup_tests =
             Alcotest.(check string) "name" name S.name)
           [ "vbl"; "lazy"; "harris-michael-tagged"; "vbl-postlock";
             "lazy-skiplist"; "lockfree-skiplist"; "vbl-skiplist"; "vbl-bst" ]);
+    Alcotest.test_case "every instrumented set keeps its step-name vocabulary" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, expected) ->
+            Alcotest.(check string) name expected (step_vocabulary name))
+          vocabulary);
     Alcotest.test_case "unknown names are rejected" `Quick (fun () ->
         Alcotest.check_raises "real"
           (Invalid_argument "Sweep.find_real: unknown algorithm no-such-thing")
