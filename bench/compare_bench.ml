@@ -12,150 +12,10 @@
    cannot be read or parsed, and a threshold that is not a non-negative
    number, are usage errors: one line on stderr, nothing on stdout.
 
-   The schema is small and fixed, so the JSON reader below is a minimal
-   recursive-descent parser rather than a library dependency. *)
+   The schema is small and fixed, so [Vbl_util.Json]'s minimal reader
+   suffices. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some (('"' | '\\' | '/') as c) ->
-              Buffer.add_char b c;
-              advance ();
-              loop ()
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              loop ()
-          | Some 't' ->
-              Buffer.add_char b '\t';
-              advance ();
-              loop ()
-          | _ -> fail "unsupported escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Vbl_util.Json
 
 let usage_error fmt =
   Printf.ksprintf
@@ -163,10 +23,6 @@ let usage_error fmt =
       prerr_endline ("compare_bench: " ^ msg);
       exit 64)
     fmt
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
 
 let num_exn what = function
   | Some (Num f) -> f
@@ -201,7 +57,10 @@ let load_points file =
                 (Option.bind (member "throughput" p) (member "mean"));
           })
         points )
-  with Parse_error msg | Failure msg -> usage_error "%s: malformed snapshot: %s" file msg
+  with
+  | Parse_error (msg, offset) ->
+      usage_error "%s: malformed snapshot: %s at offset %d" file msg offset
+  | Failure msg -> usage_error "%s: malformed snapshot: %s" file msg
 
 let () =
   let args = Array.to_list Sys.argv in

@@ -317,12 +317,26 @@ let run algo threads update range duration warmup trials seed horizon engine csv
           (fun s -> if s = 1 then algo else Printf.sprintf "%s-sharded-%d" algo s)
           counts
   in
-  List.iter
-    (fun a ->
+  (* The simulated engine, and the trace dump that always runs on it for
+     the first algorithm, need the set's instrumented twin. *)
+  let twin_needed_by i =
+    if engine = `Sim then Some "--engine sim"
+    else if matrix || i > 0 then None
+    else if trace_n > 0 then Some "--trace"
+    else if trace_json <> None then Some "--trace-json"
+    else None
+  in
+  List.iteri
+    (fun i a ->
       if not (List.mem a (algorithms ())) then
         usage_error "unknown algorithm %S; known: %s" a (String.concat ", " (algorithms ()));
-      if a = "vbl-direct" && engine = `Sim then
-        usage_error "vbl-direct has no instrumented build; use --engine real")
+      Option.iter
+        (fun flag ->
+          match Vbl_harness.Sweep.find_instrumented a with
+          | _ -> ()
+          | exception Invalid_argument _ ->
+              usage_error "%s has no instrumented build, which %s needs" a flag)
+        (twin_needed_by i))
     algos;
   let seed = Int64.of_int seed in
   let metrics = metrics || metrics_json <> None || profile in

@@ -59,48 +59,29 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node key next back =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node key in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          key = M.make ~name:(Naming.value_cell nm) ~line key;
-          succ = M.make ~name:(Naming.next_cell nm) ~line (Live next);
-          backlink = M.make ~name:(nm ^ ".back") ~line back;
-        }
-    end
-    else
-      Node
-        {
-          key = M.make ~line key;
-          succ = M.make ~line (Live next);
-          backlink = M.make ~line back;
-        }
+    let nm = if M.named then Naming.node key else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node
+      {
+        key = M.field nm ".val" ~line key;
+        succ = M.field nm ".next" ~line (Live next);
+        backlink = M.field nm ".back" ~line back;
+      }
 
   let create () =
     let tl = M.fresh_line () in
-    let tail =
-      if M.named then
-        Tail { key = M.make ~name:(Naming.value_cell Naming.tail) ~line:tl max_int }
-      else Tail { key = M.make ~line:tl max_int }
-    in
+    let tn = if M.named then Naming.tail else "" in
+    let tail = Tail { key = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
+    let hn = if M.named then Naming.head else "" in
     let head =
-      if M.named then
-        Node
-          {
-            key = M.make ~name:(Naming.value_cell Naming.head) ~line:hl min_int;
-            succ = M.make ~name:(Naming.next_cell Naming.head) ~line:hl (Live tail);
-            (* The head is never marked, so its backlink is never followed. *)
-            backlink = M.make ~name:"h.back" ~line:hl tail;
-          }
-      else
-        Node
-          {
-            key = M.make ~line:hl min_int;
-            succ = M.make ~line:hl (Live tail);
-            backlink = M.make ~line:hl tail;
-          }
+      Node
+        {
+          key = M.field hn ".val" ~line:hl min_int;
+          succ = M.field hn ".next" ~line:hl (Live tail);
+          (* The head is never marked, so its backlink is never followed. *)
+          backlink = M.field hn ".back" ~line:hl tail;
+        }
     in
     { head }
 

@@ -44,45 +44,26 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
      AMR pair the variant is defined by. *)
   let make_node value next =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node value in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line value;
-          amr = M.make ~name:(Naming.amr_cell nm) ~line (make_pair next false);
-        }
-    end
-    else
-      Node
-        {
-          value = M.make ~line value;
-          amr = M.make ~line (make_pair next false);
-        }
+    let nm = if M.named then Naming.node value else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node
+      {
+        value = M.field nm ".val" ~line value;
+        amr = M.field nm ".amr" ~line (make_pair next false);
+      }
 
   let create () =
     let tl = M.fresh_line () in
-    let tail =
-      if M.named then
-        Tail { value = M.make ~name:(Naming.value_cell Naming.tail) ~line:tl max_int }
-      else Tail { value = M.make ~line:tl max_int }
-    in
+    let tn = if M.named then Naming.tail else "" in
+    let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
+    let hn = if M.named then Naming.head else "" in
     let head =
-      if M.named then
-        Node
-          {
-            value = M.make ~name:(Naming.value_cell Naming.head) ~line:hl min_int;
-            amr =
-              M.make ~name:(Naming.amr_cell Naming.head) ~line:hl
-                (make_pair tail false);
-          }
-      else
-        Node
-          {
-            value = M.make ~line:hl min_int;
-            amr = M.make ~line:hl (make_pair tail false);
-          }
+      Node
+        {
+          value = M.field hn ".val" ~line:hl min_int;
+          amr = M.field hn ".amr" ~line:hl (make_pair tail false);
+        }
     in
     (* The head sentinel doubles as the pool's miss sentinel: it can never
        be retired. *)

@@ -33,34 +33,22 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node value in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line value;
-          link = M.make ~name:(Naming.next_cell nm) ~line (Live next);
-        }
-    end
-    else
-      Node { value = M.make ~line value; link = M.make ~line (Live next) }
+    let nm = if M.named then Naming.node value else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node { value = M.field nm ".val" ~line value; link = M.field nm ".next" ~line (Live next) }
 
   let create () =
     let tl = M.fresh_line () in
-    let tail =
-      if M.named then
-        Tail { value = M.make ~name:(Naming.value_cell Naming.tail) ~line:tl max_int }
-      else Tail { value = M.make ~line:tl max_int }
-    in
+    let tn = if M.named then Naming.tail else "" in
+    let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
+    let hn = if M.named then Naming.head else "" in
     let head =
-      if M.named then
-        Node
-          {
-            value = M.make ~name:(Naming.value_cell Naming.head) ~line:hl min_int;
-            link = M.make ~name:(Naming.next_cell Naming.head) ~line:hl (Live tail);
-          }
-      else Node { value = M.make ~line:hl min_int; link = M.make ~line:hl (Live tail) }
+      Node
+        {
+          value = M.field hn ".val" ~line:hl min_int;
+          link = M.field hn ".next" ~line:hl (Live tail);
+        }
     in
     { head }
 

@@ -28,33 +28,22 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node value in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line value;
-          next = M.make ~name:(Naming.next_cell nm) ~line next;
-        }
-    end
-    else Node { value = M.make ~line value; next = M.make ~line next }
+    let nm = if M.named then Naming.node value else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node { value = M.field nm ".val" ~line value; next = M.field nm ".next" ~line next }
 
   let create () =
     let tail_line = M.fresh_line () in
-    let tail =
-      if M.named then
-        Tail { value = M.make ~name:(Naming.value_cell Naming.tail) ~line:tail_line max_int }
-      else Tail { value = M.make ~line:tail_line max_int }
-    in
+    let tn = if M.named then Naming.tail else "" in
+    let tail = Tail { value = M.field tn ".val" ~line:tail_line max_int } in
     let head_line = M.fresh_line () in
+    let hn = if M.named then Naming.head else "" in
     let head =
-      if M.named then
-        Node
-          {
-            value = M.make ~name:(Naming.value_cell Naming.head) ~line:head_line min_int;
-            next = M.make ~name:(Naming.next_cell Naming.head) ~line:head_line tail;
-          }
-      else Node { value = M.make ~line:head_line min_int; next = M.make ~line:head_line tail }
+      Node
+        {
+          value = M.field hn ".val" ~line:head_line min_int;
+          next = M.field hn ".next" ~line:head_line tail;
+        }
     in
     { head }
 

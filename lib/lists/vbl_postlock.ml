@@ -33,45 +33,30 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node value in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line value;
-          next = M.make ~name:(Naming.next_cell nm) ~line next;
-          deleted = M.make ~name:(Naming.deleted_cell nm) ~line false;
-          lock = M.make_lock ~name:(Naming.lock_cell nm) ~line ();
-        }
-    end
-    else
-      Node
-        {
-          value = M.make ~line value;
-          next = M.make ~line next;
-          deleted = M.make ~line false;
-          lock = M.make_lock ~line ();
-        }
+    let nm = if M.named then Naming.node value else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node
+      {
+        value = M.field nm ".val" ~line value;
+        next = M.field nm ".next" ~line next;
+        deleted = M.field nm ".del" ~line false;
+        lock = M.field_lock nm ".lock" ~line ();
+      }
 
   let make_sentinel value =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node value in
-      ( line,
-        M.make ~name:(Naming.value_cell nm) ~line value,
-        M.make ~name:(Naming.deleted_cell nm) ~line false,
-        M.make_lock ~name:(Naming.lock_cell nm) ~line () )
-    end
-    else (line, M.make ~line value, M.make ~line false, M.make_lock ~line ())
+    let nm = if M.named then Naming.node value else "" in
+    ( line,
+      M.field nm ".val" ~line value,
+      M.field nm ".del" ~line false,
+      M.field_lock nm ".lock" ~line () )
 
   let create () =
     let _, tv, td, tlk = make_sentinel max_int in
     let tail = Tail { value = tv; deleted = td; lock = tlk } in
     let hl, hv, hd, hlk = make_sentinel min_int in
-    let next =
-      if M.named then M.make ~name:(Naming.next_cell Naming.head) ~line:hl tail
-      else M.make ~line:hl tail
-    in
+    let hn = if M.named then Naming.head else "" in
+    let next = M.field hn ".next" ~line:hl tail in
     let head = Node { value = hv; next; deleted = hd; lock = hlk } in
     { head }
 

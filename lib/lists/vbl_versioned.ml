@@ -52,66 +52,39 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node value in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line value;
-          next = M.make ~name:(Naming.next_cell nm) ~line next;
-          version = M.make ~name:(nm ^ ".ver") ~line 0;
-          deleted = M.make ~name:(Naming.deleted_cell nm) ~line false;
-          lock = M.make_lock ~name:(Naming.lock_cell nm) ~line ();
-        }
-    end
-    else
-      Node
-        {
-          value = M.make ~line value;
-          next = M.make ~line next;
-          version = M.make ~line 0;
-          deleted = M.make ~line false;
-          lock = M.make_lock ~line ();
-        }
+    let nm = if M.named then Naming.node value else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node
+      {
+        value = M.field nm ".val" ~line value;
+        next = M.field nm ".next" ~line next;
+        version = M.field nm ".ver" ~line 0;
+        deleted = M.field nm ".del" ~line false;
+        lock = M.field_lock nm ".lock" ~line ();
+      }
 
   let create () =
     let tl = M.fresh_line () in
+    let tn = if M.named then Naming.tail else "" in
     let tail =
-      if M.named then
-        Tail
-          {
-            value = M.make ~name:(Naming.value_cell Naming.tail) ~line:tl max_int;
-            deleted = M.make ~name:(Naming.deleted_cell Naming.tail) ~line:tl false;
-            lock = M.make_lock ~name:(Naming.lock_cell Naming.tail) ~line:tl ();
-          }
-      else
-        Tail
-          {
-            value = M.make ~line:tl max_int;
-            deleted = M.make ~line:tl false;
-            lock = M.make_lock ~line:tl ();
-          }
+      Tail
+        {
+          value = M.field tn ".val" ~line:tl max_int;
+          deleted = M.field tn ".del" ~line:tl false;
+          lock = M.field_lock tn ".lock" ~line:tl ();
+        }
     in
     let hl = M.fresh_line () in
+    let hn = if M.named then Naming.head else "" in
     let head =
-      if M.named then
-        Node
-          {
-            value = M.make ~name:(Naming.value_cell Naming.head) ~line:hl min_int;
-            next = M.make ~name:(Naming.next_cell Naming.head) ~line:hl tail;
-            version = M.make ~name:"h.ver" ~line:hl 0;
-            deleted = M.make ~name:(Naming.deleted_cell Naming.head) ~line:hl false;
-            lock = M.make_lock ~name:(Naming.lock_cell Naming.head) ~line:hl ();
-          }
-      else
-        Node
-          {
-            value = M.make ~line:hl min_int;
-            next = M.make ~line:hl tail;
-            version = M.make ~line:hl 0;
-            deleted = M.make ~line:hl false;
-            lock = M.make_lock ~line:hl ();
-          }
+      Node
+        {
+          value = M.field hn ".val" ~line:hl min_int;
+          next = M.field hn ".next" ~line:hl tail;
+          version = M.field hn ".ver" ~line:hl 0;
+          deleted = M.field hn ".del" ~line:hl false;
+          lock = M.field_lock hn ".lock" ~line:hl ();
+        }
     in
     { head }
 

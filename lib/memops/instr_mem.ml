@@ -94,8 +94,7 @@ let pp_access ppf a = Format.fprintf ppf "%a(%s)" pp_kind a.kind a.name
 type 'a cell = { mutable v : 'a; c_line : int; c_name : string; c_shadow : shadow }
 
 (* This backend is what names are for: schedule scripts address steps by
-   them, so algorithms must take their [named = true] branch and build the
-   full Naming.* vocabulary. *)
+   them, so algorithms build every node's Naming.* name for it. *)
 let named = true
 
 let line_counter = ref 0
@@ -106,6 +105,8 @@ let fresh_line () =
 
 let make ?(name = "") ~line v =
   { v; c_line = line; c_name = name; c_shadow = fresh_shadow () }
+
+let field node suffix ~line v = make ~name:(node ^ suffix) ~line v
 
 (* Padding is a physical-layout concern; the instrumented cost model works
    in explicit [line]s, so a padded cell is just a cell (and must NOT be
@@ -158,6 +159,8 @@ let recycle p = p
 
 let make_lock ?(name = "") ~line () =
   { l_line = line; l_name = name; held = false; l_shadow = fresh_shadow () }
+
+let field_lock node suffix ~line () = make_lock ~name:(node ^ suffix) ~line ()
 
 let try_lock l =
   yield ~line:l.l_line ~name:l.l_name ~shadow:l.l_shadow Lock_try;

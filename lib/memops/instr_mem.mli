@@ -72,6 +72,9 @@ val fresh_line : unit -> int
 
 val make : ?name:string -> line:int -> 'a -> 'a cell
 
+val field : string -> string -> line:int -> 'a -> 'a cell
+(** [field node suffix] is [make ~name:(node ^ suffix)]. *)
+
 val make_padded : ?name:string -> line:int -> 'a -> 'a cell
 (** Identical to {!make}: padding is a physical-layout concern the
     instrumented cost model expresses through [line]s instead. *)
@@ -110,6 +113,9 @@ val retire : 'a pool -> 'a -> unit
 val recycle : 'a pool -> 'a
 
 val make_lock : ?name:string -> line:int -> unit -> lock
+
+val field_lock : string -> string -> line:int -> unit -> lock
+(** [field_lock node suffix] is [make_lock ~name:(node ^ suffix)]. *)
 
 val try_lock : lock -> bool
 

@@ -9,26 +9,28 @@ module _ : Mem_intf.S = Instr_mem
    as a functor over {!Mem_intf.S}, must leave the same abstract set
    behind on both backends.  The workload is a miniature sorted
    singly-linked set exercising every primitive of the signature — get,
-   set, cas (taken and failed), touch, new_node, try_lock, blocking
-   lock/unlock — so a backend whose primitive semantics drift (a cas that
-   misreports, a set that is lost, lock state leaking between operations)
-   produces a visible set difference rather than a subtle downstream
-   failure.  [Instr_mem] runs it under [run_sequential]; [Real_mem]
-   runs it directly on a single domain — both are sequential executions of
-   the same program, so the results must agree exactly. *)
+   set, cas (taken and failed), touch, new_node, field, try_lock on a
+   make_lock and a field_lock, blocking lock/unlock — so a backend whose
+   primitive semantics drift (a cas that misreports, a set that is lost,
+   lock state leaking between operations) produces a visible set
+   difference rather than a subtle downstream failure.  [Instr_mem] runs
+   it under [run_sequential]; [Real_mem] runs it directly on a single
+   domain — both are sequential executions of the same program, so the
+   results must agree exactly. *)
 
 module Parity_workload (M : Mem_intf.S) = struct
   type node = Nil | Node of { value : int; next : node M.cell }
 
   let insert head v =
     let line = M.fresh_line () in
-    if M.named then M.new_node ~name:(Printf.sprintf "P%d" v) ~line;
+    let nm = if M.named then Printf.sprintf "P%d" v else "" in
+    if M.named then M.new_node ~name:nm ~line;
     let rec walk prev =
       match M.get prev with
       | Node { value; next } when value < v -> walk next
       | Node { value; _ } when value = v -> false
       | at ->
-          let n = Node { value = v; next = M.make ~name:"p.next" ~line at } in
+          let n = Node { value = v; next = M.field nm ".next" ~line at } in
           M.cas prev at n
     in
     walk head
@@ -57,6 +59,7 @@ module Parity_workload (M : Mem_intf.S) = struct
     let head = M.make ~name:"p.head" ~line Nil in
     M.touch ~line ~name:"p.touch";
     let lock = M.make_lock ~name:"p.lock" ~line () in
+    let node_lock = M.field_lock "p" ".nlock" ~line () in
     let log = ref [] in
     let record op v r = log := (op, v, r) :: !log in
     List.iter
@@ -76,6 +79,9 @@ module Parity_workload (M : Mem_intf.S) = struct
     M.unlock lock;
     record "trylock-free" 0 (M.try_lock lock);
     M.unlock lock;
+    record "field-trylock-free" 0 (M.try_lock node_lock);
+    record "field-trylock-held" 0 (M.try_lock node_lock);
+    M.unlock node_lock;
     record "remove" 9 (remove head 9);
     (to_list head, List.rev !log)
 end

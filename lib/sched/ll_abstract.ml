@@ -335,10 +335,7 @@ let enumerate ~initial ~ops ?(max = 1_000_000) (f : t -> unit) =
   explore [];
   !complete
 
-let node_name (n : node) =
-  if n.value = min_int then Vbl_lists.Naming.head
-  else if n.value = max_int then Vbl_lists.Naming.tail
-  else Vbl_lists.Naming.node n.value
+let node_name (n : node) = Vbl_lists.Naming.node n.value
 
 (** Translate an abstract schedule into a directed-driver script: data reads
     and effective writes keep their order; implementation-specific metadata

@@ -39,57 +39,40 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     | Node n -> n.next.(lvl)
     | Tail _ -> assert false (* the tail's +inf value stops every loop *)
 
-  (* Names are only built for instrumented backends ([M.named]). *)
+  (* Names are only built for instrumented backends ([M.named]).  The
+     tower is the one expression built twice: one closure over the name
+     and the line would cost every real insert two more words. *)
   let make_node value next_targets =
     let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Vbl_lists.Naming.node value in
-      M.new_node ~name:nm ~line;
-      Node
-        {
-          value = M.make ~name:(Vbl_lists.Naming.value_cell nm) ~line value;
-          next =
-            Array.mapi
-              (fun lvl succ ->
-                M.make ~name:(Printf.sprintf "%s.next%d" nm lvl) ~line (Live succ))
-              next_targets;
-        }
-    end
-    else
-      Node
-        {
-          value = M.make ~line value;
-          next = Array.map (fun succ -> M.make ~line (Live succ)) next_targets;
-        }
+    let nm = if M.named then Vbl_lists.Naming.node value else "" in
+    if M.named then M.new_node ~name:nm ~line;
+    Node
+      {
+        value = M.field nm ".val" ~line value;
+        next =
+          (if M.named then
+             Array.mapi
+               (fun lvl succ -> M.field nm (".next" ^ string_of_int lvl) ~line (Live succ))
+               next_targets
+           else Array.map (fun succ -> M.field "" "" ~line (Live succ)) next_targets);
+      }
 
   let create () =
     let tl = M.fresh_line () in
-    let tail =
-      if M.named then
-        Tail
-          {
-            value =
-              M.make ~name:(Vbl_lists.Naming.value_cell Vbl_lists.Naming.tail) ~line:tl max_int;
-          }
-      else Tail { value = M.make ~line:tl max_int }
-    in
+    let tn = if M.named then Vbl_lists.Naming.tail else "" in
+    let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
+    let hn = if M.named then Vbl_lists.Naming.head else "" in
     let head =
-      if M.named then
-        Node
-          {
-            value =
-              M.make ~name:(Vbl_lists.Naming.value_cell Vbl_lists.Naming.head) ~line:hl min_int;
-            next =
-              Array.init max_level (fun lvl ->
-                  M.make ~name:(Printf.sprintf "h.next%d" lvl) ~line:hl (Live tail));
-          }
-      else
-        Node
-          {
-            value = M.make ~line:hl min_int;
-            next = Array.init max_level (fun _ -> M.make ~line:hl (Live tail));
-          }
+      Node
+        {
+          value = M.field hn ".val" ~line:hl min_int;
+          next =
+            Array.init max_level (fun lvl ->
+                M.field hn
+                  (if M.named then ".next" ^ string_of_int lvl else "")
+                  ~line:hl (Live tail));
+        }
     in
     { head; levels = Vbl_util.Level_gen.create () }
 

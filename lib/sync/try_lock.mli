@@ -1,9 +1,9 @@
 (** CAS-based try-lock.
 
-    Unlike {!Ttas_lock}, the fast path here is the failure path: callers that
-    cannot get the lock immediately are expected to go do something useful
-    (re-validate, restart a traversal) rather than wait.  This is the raw
-    primitive underneath the paper's value-aware try-lock (§3.1). *)
+    The fast path here is the failure path: callers that cannot get the
+    lock immediately are expected to go do something useful (re-validate,
+    restart a traversal) rather than wait.  This is the raw primitive
+    underneath the paper's value-aware try-lock (§3.1). *)
 
 type t
 

@@ -26,6 +26,13 @@ let real_tests =
         Alcotest.(check bool) "try again" false (Real.try_lock l);
         Real.unlock l;
         Alcotest.(check bool) "released" false (Real.lock_held l));
+    Alcotest.test_case "field cells and locks behave like unnamed ones" `Quick (fun () ->
+        let c = Real.field "x" ".val" ~line:0 7 in
+        Alcotest.(check int) "get" 7 (Real.get c);
+        let l = Real.field_lock "x" ".lock" ~line:0 () in
+        Alcotest.(check bool) "try" true (Real.try_lock l);
+        Alcotest.(check bool) "held" true (Real.lock_held l);
+        Real.unlock l);
     Alcotest.test_case "instrumentation hooks are no-ops" `Quick (fun () ->
         Real.touch ~line:3 ~name:"x";
         Real.new_node ~name:"x" ~line:3);
@@ -73,7 +80,9 @@ let instr_tests =
             Instr.set c 2;
             ignore (Instr.cas c 2 3);
             Instr.touch ~line ~name:"x.pair";
-            Instr.new_node ~name:"x" ~line)
+            Instr.new_node ~name:"x" ~line;
+            ignore (Instr.get (Instr.field "x" ".next" ~line 0));
+            ignore (Instr.try_lock (Instr.field_lock "x" ".lock" ~line ())))
           ()
           {
             retc = Fun.id;
@@ -96,6 +105,8 @@ let instr_tests =
             ("CAS", "x.val");
             ("touch", "x.pair");
             ("new", "x");
+            ("R", "x.next");
+            ("trylock", "x.lock");
           ]
           (List.rev_map
              (fun (k, n) -> (Format.asprintf "%a" Instr.pp_kind k, n))

@@ -3,7 +3,6 @@
    core, so races surface through preemption). *)
 
 module Backoff = Vbl_sync.Backoff
-module Ttas = Vbl_sync.Ttas_lock
 module Try_lock = Vbl_sync.Try_lock
 module Value_lock = Vbl_sync.Value_lock
 
@@ -48,9 +47,6 @@ let lock_single_thread name (create, try_acquire, acquire, release, is_locked) =
         done;
         Alcotest.(check bool) "free" false (is_locked l));
   ]
-
-let ttas_ops =
-  (Ttas.create, Ttas.try_acquire, Ttas.acquire, Ttas.release, Ttas.is_locked)
 
 let try_lock_ops =
   (Try_lock.create, Try_lock.try_lock, Try_lock.lock, Try_lock.unlock, Try_lock.is_locked)
@@ -117,8 +113,6 @@ let () =
   Alcotest.run "sync"
     [
       ("backoff", backoff_tests);
-      ("ttas", lock_single_thread "ttas" ttas_ops
-              @ [ mutual_exclusion "ttas" Ttas.acquire Ttas.release Ttas.create ]);
       ("try-lock", lock_single_thread "try-lock" try_lock_ops
                   @ [ mutual_exclusion "try-lock" Try_lock.lock Try_lock.unlock Try_lock.create ]);
       ("value-lock", value_lock_tests);

@@ -342,9 +342,39 @@ let zipf_tests =
           (fun () -> ignore (Vbl_util.Zipf.create ~s:(-1.) ~n:5 ())));
   ]
 
+module Json = Vbl_util.Json
+
+let json_error text =
+  match Json.parse text with
+  | exception Json.Parse_error (msg, at) -> Printf.sprintf "%s at %d" msg at
+  | _ -> "parsed"
+
+let json_tests =
+  [
+    Alcotest.test_case "nested values, escapes and members" `Quick (fun () ->
+        let v =
+          Json.parse {| { "a": [1, -2.5e1, true, null], "s": "x\"y\n\u00e9", "o": {} } |}
+        in
+        Alcotest.(check bool)
+          "array" true
+          (Json.member "a" v = Some (Json.Arr [ Num 1.; Num (-25.); Bool true; Null ]));
+        Alcotest.(check bool) "string" true (Json.member "s" v = Some (Json.Str "x\"y\n?"));
+        Alcotest.(check bool) "empty object" true (Json.member "o" v = Some (Json.Obj []));
+        Alcotest.(check bool) "missing" true (Json.member "z" v = None));
+    Alcotest.test_case "errors carry a message and a byte offset" `Quick (fun () ->
+        let check text expected = Alcotest.(check string) text expected (json_error text) in
+        check {|{"points": [|} "unexpected end of input at 12";
+        check "[1 2]" "expected ',' or ']' at 3";
+        check "{} x" "trailing content at 3";
+        check "[tru]" "expected true at 1";
+        check {|"\q"|} "bad escape at 2";
+        check "@" "unexpected character at 0");
+  ]
+
 let () =
   Alcotest.run "util"
     [
+      ("json", json_tests);
       ("rng", rng_tests);
       ("statistical", statistical_tests);
       ("stats", stats_tests);
