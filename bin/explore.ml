@@ -126,17 +126,15 @@ let () =
   let ops = parse_ops !ops in
   let initial = parse_ints !initial in
   let preemption_bound =
-    if !preemptions = "none" then None
+    if !preemptions = "none" then Explore.none
     else
       match int_of_string_opt !preemptions with
-      | Some n when n >= 0 -> Some n
+      | Some n when n >= 0 -> Explore.preempt n
       | _ -> bad "invalid --preemptions %S (expected a non-negative integer or 'none')" !preemptions
   in
   if !max_executions < 1 then
     bad "invalid --max-executions %d: the execution cap must be positive" !max_executions;
-  let config =
-    { Vbl_sched.Explore.max_executions = !max_executions; preemption_bound; max_steps = 20_000 }
-  in
+  let config = { Explore.max_executions = !max_executions; max_steps = 20_000 } in
   let strategy =
     match !sct_spec with
     | Some s ->
@@ -147,7 +145,7 @@ let () =
         let b =
           match !bound_spec with
           | Some s -> parse_bound s
-          | None -> Explore.bound_of_config config
+          | None -> preemption_bound
         in
         if !dfs then Explore.Dfs b else Explore.Dpor b
   in

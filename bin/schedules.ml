@@ -43,8 +43,8 @@ let fig2 () =
     (String.concat ", " (List.map string_of_int (Ll_abstract.final_values abstract)));
   print_endline "";
   print_endline "Driving the schedule against each implementation:";
-  show_outcome "vbl" (Paper_figures.Fig2.run (module Drive.Vbl_i));
-  show_outcome "lazy" (Paper_figures.Fig2.run (module Drive.Lazy_i));
+  show_outcome "vbl" (Paper_figures.Fig2.run (module Vbl_lists.Registry.Vbl_i));
+  show_outcome "lazy" (Paper_figures.Fig2.run (module Vbl_lists.Registry.Lazy_i));
   print_endline ""
 
 let fig3 () =
@@ -61,8 +61,10 @@ let fig3 () =
   print_script Paper_figures.Fig3.script;
   print_endline "";
   print_endline "Driving the schedule against the Harris-Michael variants:";
-  show_outcome "harris-michael (AMR)" (Paper_figures.Fig3.run (module Drive.Hm_i));
-  show_outcome "harris-michael (RTTI)" (Paper_figures.Fig3.run (module Drive.Hm_tagged_i));
+  show_outcome "harris-michael (AMR)"
+    (Paper_figures.Fig3.run (module Vbl_lists.Registry.Hm_i));
+  show_outcome "harris-michael (RTTI)"
+    (Paper_figures.Fig3.run (module Vbl_lists.Registry.Hm_tagged_i));
   print_endline "";
   print_endline "The same four-operation scenario under VBL (remove(2) unlinks X2";
   print_endline "immediately, so phase B interleaves freely with no restarts):";
@@ -121,9 +123,9 @@ let aba () =
 " name !steps
       (match !result_a with Some b -> string_of_bool b | None -> "nothing")
   in
-  measure "vbl" (module Drive.Vbl_i);
-  measure "vbl-versioned" (module Drive.Vbl_versioned_i);
-  measure "vbl-postlock" (module Drive.Vbl_postlock_i);
+  measure "vbl" (module Vbl_lists.Registry.Vbl_i);
+  measure "vbl-versioned" (module Vbl_lists.Registry.Vbl_versioned_i);
+  measure "vbl-postlock" (module Vbl_lists.Registry.Vbl_postlock_i);
   print_endline "";
   print_endline "(vbl validates by VALUE under the lock — the new node still stores 2,";
   print_endline " so it proceeds with no re-traversal; the other strategies restart)";

@@ -16,14 +16,7 @@
 
 open Cmdliner
 
-let algorithms () =
-  List.map Vbl_lists.Registry.name Vbl_lists.Registry.all
-  @ List.map
-      (fun i ->
-        let module S = (val i : Vbl_lists.Set_intf.S) in
-        S.name)
-      (Vbl_skiplists.Registry.all @ Vbl_trees.Registry.all @ Vbl_shard.Registry.all)
-  @ [ "vbl-direct" ]
+let algorithms () = Vbl_harness.Sweep.names @ [ "vbl-direct" ]
 
 (* The ablation baseline lives outside the registries (bench/) and has no
    instrumented counterpart, so it is real-engine only. *)

@@ -47,10 +47,10 @@ let () =
   Printf.printf
     "leaderboard: %d workers x %d requests over %d buckets, 10%% updates\n\n"
     workers requests buckets;
-  run_board "vbl (list)" (Vbl_lists.Registry.find_exn "vbl");
-  run_board "lazy-skiplist" (Vbl_skiplists.Registry.find_exn "lazy-skiplist");
-  run_board "vbl-skiplist" (Vbl_skiplists.Registry.find_exn "vbl-skiplist");
-  run_board "vbl-bst" (Vbl_trees.Registry.find_exn "vbl-bst");
+  run_board "vbl (list)" (module Vbl_lists.Registry.Vbl);
+  run_board "lazy-skiplist" (module Vbl_skiplists.Registry.Lazy_skip);
+  run_board "vbl-skiplist" (module Vbl_skiplists.Registry.Vbl_skip);
+  run_board "vbl-bst" (module Vbl_trees.Registry.Vbl_bst_impl);
   print_newline ();
   print_endline "(same Set_intf.S interface throughout; the log-depth structures win";
   print_endline " as soon as the key range dwarfs the contention hot-spots)"

@@ -42,8 +42,9 @@ let () =
   | Ok () -> Printf.printf "invariants OK, final size = %d\n" (Set.size s)
   | Error msg -> failwith msg);
 
-  (* Every algorithm of the family shares the same interface; pick by name. *)
-  let module Lazy_list = (val Vbl_lists.Registry.find_exn "lazy") in
+  (* Every algorithm of the family shares the same interface; the registry
+     holds them all. *)
+  let module Lazy_list = Vbl_lists.Registry.Lazy in
   let l = Lazy_list.create () in
   List.iter (fun v -> ignore (Lazy_list.insert l v)) [ 3; 1; 2 ];
   Printf.printf "lazy list contents: [%s]\n"

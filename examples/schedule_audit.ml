@@ -61,10 +61,10 @@ let () =
       assert complete;
       Printf.printf "  schedules of the sequential code: %d total, %d correct, %d incorrect\n"
         !total (List.length !correct) !incorrect;
-      audit ~initial ~ops "vbl" (module Drive.Vbl_i) !correct;
-      audit ~initial ~ops "vbl-postlock" (module Drive.Vbl_postlock_i) !correct;
-      audit ~initial ~ops "lazy" (module Drive.Lazy_i) !correct;
-      audit ~initial ~ops "hand-over-hand" (module Drive.Hoh_i) !correct;
+      audit ~initial ~ops "vbl" (module Vbl_lists.Registry.Vbl_i) !correct;
+      audit ~initial ~ops "vbl-postlock" (module Vbl_lists.Registry.Vbl_postlock_i) !correct;
+      audit ~initial ~ops "lazy" (module Vbl_lists.Registry.Lazy_i) !correct;
+      audit ~initial ~ops "hand-over-hand" (module Vbl_lists.Registry.Hoh_i) !correct;
       print_newline ())
     scenarios;
   print_endline "(an accepted schedule = the driver realises every scripted step and";

@@ -66,5 +66,5 @@ let run_store name (impl : Vbl_lists.Registry.impl) =
 let () =
   Printf.printf "session store: %d handlers x %d requests, %d session ids, 20%% updates\n\n"
     handlers requests_per_handler sessions;
-  run_store "vbl" (Vbl_lists.Registry.find_exn "vbl");
-  run_store "lazy" (Vbl_lists.Registry.find_exn "lazy")
+  run_store "vbl" (module Vbl_lists.Registry.Vbl);
+  run_store "lazy" (module Vbl_lists.Registry.Lazy)

@@ -9,25 +9,18 @@ module Shrink = Vbl_sched.Shrink
 module Drive = Vbl_sched.Drive
 module Ll = Vbl_sched.Ll_abstract
 
-let default_config =
-  { Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
+let default_config = { Explore.max_executions = 200_000; max_steps = 5_000 }
 
 let monitored_scenario impl ~ops ~initial =
   let threads = max 2 (List.length ops) in
   (Drive.explore_scenario impl ~initial ~ops, Monitor.make ~threads ())
 
 (** Explore [impl] on [initial]/[ops] with the race detector and
-    lock-discipline linter attached.  [strategy] defaults to DPOR under
-    the bound [config] encodes, exactly as {!Explore.run}. *)
+    lock-discipline linter attached.  [strategy] defaults to
+    [Dpor (preempt 3)], exactly as {!Explore.run}. *)
 let analyze ?(config = default_config) ?strategy impl ~initial ~ops =
   let scenario, monitor = monitored_scenario impl ~ops ~initial in
   Explore.run ~config ~monitor ?strategy scenario
-
-(** Same scenario through the naive DFS — for DPOR parity and reduction
-    measurements. *)
-let analyze_naive ?(config = default_config) impl ~initial ~ops =
-  let scenario, monitor = monitored_scenario impl ~ops ~initial in
-  Explore.run_naive ~config ~monitor scenario
 
 (** {!analyze}, plus a shrunk counterexample when a failure is found: the
     failing schedule is delta-debugged under the same monitor to a
@@ -102,34 +95,22 @@ let mutation_suite ?config ?strategy () : mutation_result list =
    the full analysis with no failure of any kind.  The BST entries mirror
    the three BST mutant scenarios: each clean tree must survive exactly
    the schedules its mutants lose updates on. *)
-let clean_cases : (string * int list * Ll.opspec list) list =
+let clean_cases : ((module Set_intf.S) * int list * Ll.opspec list) list =
   [
-    ("vbl", [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
-    ("vbl", [ 5 ], [ Ll.remove 5; Ll.insert 7 ]);
-    ("vbl", [ 5 ], [ Ll.remove 5; Ll.insert 3 ]);
-    ("lazy", [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
-    ("lazy", [ 5 ], [ Ll.remove 5; Ll.remove 5 ]);
-    ("harris-michael", [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
-    ("harris-michael", [ 5 ], [ Ll.remove 5; Ll.insert 7 ]);
-    ("vbl-bst", [], [ Ll.insert 1; Ll.insert 2 ]);
-    ("vbl-bst", [ 1 ], [ Ll.remove 1; Ll.insert 2 ]);
-    ("lockfree-bst", [], [ Ll.insert 1; Ll.insert 2 ]);
+    ((module Vbl_lists.Registry.Vbl_i), [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
+    ((module Vbl_lists.Registry.Vbl_i), [ 5 ], [ Ll.remove 5; Ll.insert 7 ]);
+    ((module Vbl_lists.Registry.Vbl_i), [ 5 ], [ Ll.remove 5; Ll.insert 3 ]);
+    ((module Vbl_lists.Registry.Lazy_i), [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
+    ((module Vbl_lists.Registry.Lazy_i), [ 5 ], [ Ll.remove 5; Ll.remove 5 ]);
+    ((module Vbl_lists.Registry.Hm_i), [ 2 ], [ Ll.insert 1; Ll.remove 2 ]);
+    ((module Vbl_lists.Registry.Hm_i), [ 5 ], [ Ll.remove 5; Ll.insert 7 ]);
+    ((module Vbl_trees.Registry.Vbl_bst_i), [], [ Ll.insert 1; Ll.insert 2 ]);
+    ((module Vbl_trees.Registry.Vbl_bst_i), [ 1 ], [ Ll.remove 1; Ll.insert 2 ]);
+    ((module Vbl_trees.Registry.Lockfree_bst_i), [], [ Ll.insert 1; Ll.insert 2 ]);
   ]
-
-(* Clean-case lookup across the list and tree instrumented registries. *)
-let find_clean nm : (module Vbl_lists.Set_intf.S) =
-  match
-    List.find_opt
-      (fun i ->
-        let module S = (val i : Vbl_lists.Set_intf.S) in
-        S.name = nm)
-      Vbl_trees.Registry.instrumented
-  with
-  | Some i -> i
-  | None -> Drive.find_instrumented nm
 
 let clean_suite ?config ?strategy () : (string * Explore.report) list =
   List.map
-    (fun (nm, initial, ops) ->
-      (nm, analyze ?config ?strategy (find_clean nm) ~initial ~ops))
+    (fun (((module S : Set_intf.S) as impl), initial, ops) ->
+      (S.name, analyze ?config ?strategy impl ~initial ~ops))
     clean_cases

@@ -11,8 +11,8 @@ module Drive = Vbl_sched.Drive
 module Ll = Vbl_sched.Ll_abstract
 
 val default_config : Explore.config
-(** Exhaustive-up-to-bounds exploration: 200k executions, preemption
-    bound 3, 5k steps per execution. *)
+(** Exhaustive-up-to-bounds exploration: 200k executions, 5k steps per
+    execution. *)
 
 val analyze :
   ?config:Explore.config ->
@@ -22,17 +22,8 @@ val analyze :
   ops:Ll.opspec list ->
   Explore.report
 (** Explore [impl] on [initial]/[ops] with the race detector and
-    lock-discipline linter attached.  [strategy] defaults to DPOR under
-    the bound [config] encodes, exactly as {!Explore.run}. *)
-
-val analyze_naive :
-  ?config:Explore.config ->
-  (module Vbl_lists.Set_intf.S) ->
-  initial:int list ->
-  ops:Ll.opspec list ->
-  Explore.report
-(** Same scenario through the naive DFS — for DPOR parity and reduction
-    measurements. *)
+    lock-discipline linter attached.  [strategy] defaults to
+    [Dpor (preempt 3)], exactly as {!Explore.run}. *)
 
 val analyze_shrunk :
   ?config:Explore.config ->
@@ -67,12 +58,13 @@ val mutation_suite :
 (** Run every seeded mutant under the full analysis, shrinking each
     counterexample. *)
 
-val clean_cases : (string * int list * Ll.opspec list) list
-(** Conflict-heavy scenarios over the clean implementations that must
-    pass the full analysis with no failure of any kind. *)
+val clean_cases : ((module Vbl_lists.Set_intf.S) * int list * Ll.opspec list) list
+(** Conflict-heavy scenarios over the clean instrumented implementations
+    that must pass the full analysis with no failure of any kind. *)
 
 val clean_suite :
   ?config:Explore.config ->
   ?strategy:Explore.strategy ->
   unit ->
   (string * Explore.report) list
+(** {!analyze} on every clean case, each report under its set's name. *)

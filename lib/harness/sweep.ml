@@ -32,39 +32,26 @@ type point = {
 
 let point_mean p = p.throughput.Vbl_util.Stats.mean
 
-(* Algorithms may come from the list family, the skip-list/tree
-   extensions, or the sharded frontends. *)
-let lookup registries algorithm =
-  List.find_opt
-    (fun i ->
-      let module S = (val i : Vbl_lists.Set_intf.S) in
-      S.name = algorithm)
-    (List.concat registries)
+(* The one place the families meet: every registered set, each build in
+   one list, in registry order (lists, skiplists, trees, sharded). *)
+let real =
+  Vbl_lists.Registry.all @ Vbl_skiplists.Registry.all @ Vbl_trees.Registry.all
+  @ Vbl_shard.Registry.all
 
-let find_real algorithm =
-  match Vbl_lists.Registry.find algorithm with
-  | Some impl -> impl
-  | None -> (
-      match
-        lookup
-          [ Vbl_skiplists.Registry.all; Vbl_trees.Registry.all; Vbl_shard.Registry.all ]
-          algorithm
-      with
-      | Some impl -> impl
-      | None -> invalid_arg ("Sweep.find_real: unknown algorithm " ^ algorithm))
+let instrumented =
+  Vbl_lists.Registry.instrumented @ Vbl_skiplists.Registry.instrumented
+  @ Vbl_trees.Registry.instrumented @ Vbl_shard.Registry.instrumented
 
-let find_instrumented algorithm =
-  match
-    lookup
-      [
-        Vbl_skiplists.Registry.instrumented;
-        Vbl_trees.Registry.instrumented;
-        Vbl_shard.Registry.instrumented;
-      ]
-      algorithm
-  with
+let name (module S : Vbl_lists.Set_intf.S) = S.name
+let names = List.map name real
+
+let find ~what impls algorithm =
+  match List.find_opt (fun i -> name i = algorithm) impls with
   | Some impl -> impl
-  | None -> Vbl_sched.Drive.find_instrumented algorithm
+  | None -> invalid_arg (Printf.sprintf "Sweep.%s: unknown algorithm %s" what algorithm)
+
+let find_real = find ~what:"find_real" real
+let find_instrumented = find ~what:"find_instrumented" instrumented
 
 (** Like {!measure} on the [Real] engine, but drives an explicitly given
     implementation instead of a registry lookup — for ablation baselines

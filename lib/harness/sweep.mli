@@ -28,11 +28,24 @@ type point = {
 
 val point_mean : point -> float
 
+val real : (module Vbl_lists.Set_intf.S) list
+(** Every registered set on the real backend: the list family, the
+    skip-list and tree extensions and the sharded frontends, in that
+    order.  The family registries declare the sets; this is the one
+    concatenation of them. *)
+
+val instrumented : (module Vbl_lists.Set_intf.S) list
+(** Every instrumented twin, in the same family order. *)
+
+val names : string list
+(** The names of [real], in order. *)
+
 val find_real : string -> (module Vbl_lists.Set_intf.S)
-(** Algorithm lookup across the list family, the skip-list/tree
-    extensions and the sharded frontends (real backend). *)
+(** Lookup by name in [real]; [Invalid_argument] on an unknown name. *)
 
 val find_instrumented : string -> (module Vbl_lists.Set_intf.S)
+(** Lookup by name in [instrumented]; [Invalid_argument] on an unknown
+    name. *)
 
 val measure :
   ?metrics:bool ->

@@ -16,7 +16,7 @@
     the paper's Figure 3 schedule exposes as concurrency-suboptimal. *)
 
 module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
-  let name = "harris-michael"
+  let name = if M.reclaiming then "harris-michael-reclaim" else "harris-michael"
 
   module Probe = Vbl_obs.Probe
   module C = Vbl_obs.Metrics

@@ -14,7 +14,7 @@
     failure, also as in the original algorithm. *)
 
 module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
-  let name = "lazy"
+  let name = if M.reclaiming then "lazy-reclaim" else "lazy"
 
   module Probe = Vbl_obs.Probe
   module C = Vbl_obs.Metrics

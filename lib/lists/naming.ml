@@ -23,3 +23,4 @@ let leaf v =
 
 let router k = "R" ^ if k = max_int then "max" else string_of_int k
 let tree_node k = if k = max_int then "rt" else "N" ^ string_of_int k
+let size_stripe i = "shard" ^ string_of_int i ^ ".size"

@@ -21,3 +21,6 @@ val router : int -> string
 
 val tree_node : int -> string
 (** A [vbl-bst] node: ["rt"] for the root sentinel, or ["N<key>"]. *)
+
+val size_stripe : int -> string
+(** A sharded frontend's size counter for shard [i]: ["shard<i>.size"]. *)

@@ -1,12 +1,12 @@
-(** First-class-module registry of every algorithm instantiated on the real
-    (Atomic) backend.  This is what the CLI, the examples and the benchmark
-    harness select implementations from. *)
+(** First-class-module registry of the list family: every algorithm on
+    the real (Atomic) backend, for the CLIs, examples and benchmarks, and
+    its instrumented twin, for the schedule machinery. *)
 
-(* Every entry is a direct instance generated at build time from its
+(* Every real entry is a direct instance generated at build time from its
    algorithm's one source (specialised/dune): the functor body with [M]
    bound to the backend, so hot paths call [Real_mem]/[Reclaim_mem]
    statically rather than through a functor argument.  The functors stay
-   the only source, and the instrumented backends still apply them. *)
+   the only source, and the instrumented twins below apply them. *)
 
 module Sequential = Real_seq_list
 module Coarse = Real_coarse_list
@@ -22,24 +22,36 @@ module Vbl_versioned_variant = Real_vbl_versioned
 
 (* Reclaiming variants: the same algorithm sources on the epoch-based
    reclamation backend.  Node unlinks feed per-domain limbo bags and the
-   insert hot path recycles aged-out nodes instead of allocating. *)
-module Lazy_reclaim = struct
-  include Reclaim_lazy_list
+   insert hot path recycles aged-out nodes instead of allocating.  Each
+   takes its [-reclaim] name from [M.reclaiming]. *)
+module Lazy_reclaim = Reclaim_lazy_list
+module Harris_michael_reclaim = Reclaim_harris_michael
+module Vbl_reclaim = Reclaim_vbl_list
 
-  let name = "lazy-reclaim"
-end
+module Instr = Vbl_memops.Instr_mem
 
-module Harris_michael_reclaim = struct
-  include Reclaim_harris_michael
+module Seq_i = Seq_list.Make (Instr)
+module Coarse_i = Coarse_list.Make (Instr)
+module Hoh_i = Hoh_list.Make (Instr)
+module Optimistic_i = Optimistic_list.Make (Instr)
+module Lazy_i = Lazy_list.Make (Instr)
+module Hm_i = Harris_michael.Make (Instr)
+module Hm_tagged_i = Harris_michael_tagged.Make (Instr)
+module Fr_i = Fomitchev_ruppert.Make (Instr)
+module Vbl_i = Vbl_list.Make (Instr)
+module Vbl_postlock_i = Vbl_postlock.Make (Instr)
+module Vbl_versioned_i = Vbl_versioned.Make (Instr)
 
-  let name = "harris-michael-reclaim"
-end
+(* The reclaiming twins run on the grace-respecting instrumented backend:
+   the epoch counter is an instrumented cell, so DPOR interleaves epoch
+   announcements, retires and recycles against traversals.  The seeded
+   use-after-reclaim [Eager] backend is reserved for the analysis
+   mutants. *)
+module Instr_safe = Vbl_memops.Instr_reclaim.Safe
 
-module Vbl_reclaim = struct
-  include Reclaim_vbl_list
-
-  let name = "vbl-reclaim"
-end
+module Lazy_reclaim_i = Lazy_list.Make (Instr_safe)
+module Hm_reclaim_i = Harris_michael.Make (Instr_safe)
+module Vbl_reclaim_i = Vbl_list.Make (Instr_safe)
 
 type impl = (module Set_intf.S)
 
@@ -65,20 +77,21 @@ let concurrent : impl list =
 
 let all : impl list = (module Sequential : Set_intf.S) :: concurrent
 
-(* The three algorithms the paper's Figures 1 and 4 measure. *)
-let measured : impl list =
-  [ (module Lazy); (module Harris_michael_rtti); (module Vbl) ]
-
-let name (impl : impl) =
-  let module I = (val impl) in
-  I.name
-
-let find nm : impl option = List.find_opt (fun i -> name i = nm) all
-
-let find_exn nm =
-  match find nm with
-  | Some i -> i
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown algorithm %S (known: %s)" nm
-           (String.concat ", " (List.map name all)))
+(* The twins of [all], in the same order. *)
+let instrumented : impl list =
+  [
+    (module Seq_i);
+    (module Coarse_i);
+    (module Hoh_i);
+    (module Optimistic_i);
+    (module Lazy_i);
+    (module Hm_i);
+    (module Hm_tagged_i);
+    (module Fr_i);
+    (module Vbl_postlock_i);
+    (module Vbl_versioned_i);
+    (module Vbl_i);
+    (module Lazy_reclaim_i);
+    (module Hm_reclaim_i);
+    (module Vbl_reclaim_i);
+  ]

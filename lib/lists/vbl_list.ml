@@ -24,7 +24,7 @@
     concurrent [remove]. *)
 
 module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
-  let name = "vbl"
+  let name = if M.reclaiming then "vbl-reclaim" else "vbl"
 
   module Probe = Vbl_obs.Probe
   module C = Vbl_obs.Metrics

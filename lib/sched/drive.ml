@@ -1,5 +1,7 @@
-(** Glue between the schedule machinery and concrete list implementations
-    running on the instrumented backend.
+(** Glue between the schedule machinery and concrete implementations
+    running on the instrumented backend.  The instrumented sets themselves
+    are declared in the family registries ({!Vbl_lists.Registry} and its
+    skiplist, tree and shard siblings); this module only drives them.
 
     [prepare] builds a fresh instance of an algorithm, pre-populates it
     sequentially (outside the measured schedule, like the paper's warm-up
@@ -7,75 +9,6 @@
     results are captured — ready for {!Directed.run} or {!Explore.run}. *)
 
 module Instr = Vbl_memops.Instr_mem
-
-(* The measured algorithms, instantiated on the instrumented backend. *)
-module Vbl_i = Vbl_lists.Vbl_list.Make (Instr)
-module Lazy_i = Vbl_lists.Lazy_list.Make (Instr)
-module Hm_i = Vbl_lists.Harris_michael.Make (Instr)
-module Hm_tagged_i = Vbl_lists.Harris_michael_tagged.Make (Instr)
-module Seq_i = Vbl_lists.Seq_list.Make (Instr)
-module Coarse_i = Vbl_lists.Coarse_list.Make (Instr)
-module Hoh_i = Vbl_lists.Hoh_list.Make (Instr)
-module Optimistic_i = Vbl_lists.Optimistic_list.Make (Instr)
-module Vbl_postlock_i = Vbl_lists.Vbl_postlock.Make (Instr)
-module Fr_i = Vbl_lists.Fomitchev_ruppert.Make (Instr)
-module Vbl_versioned_i = Vbl_lists.Vbl_versioned.Make (Instr)
-
-(* Reclaiming variants on the instrumented reclaim backend: the epoch
-   counter is an instrumented cell, so DPOR interleaves epoch
-   announcements, retires and recycles against traversals.  Only the
-   grace-respecting [Safe] backend is registered here; the seeded
-   use-after-reclaim [Eager] mutant is reserved for the analysis tests. *)
-module Instr_safe = Vbl_memops.Instr_reclaim.Safe
-
-module Vbl_reclaim_i = struct
-  include Vbl_lists.Vbl_list.Make (Instr_safe)
-
-  let name = "vbl-reclaim"
-end
-
-module Lazy_reclaim_i = struct
-  include Vbl_lists.Lazy_list.Make (Instr_safe)
-
-  let name = "lazy-reclaim"
-end
-
-module Hm_reclaim_i = struct
-  include Vbl_lists.Harris_michael.Make (Instr_safe)
-
-  let name = "harris-michael-reclaim"
-end
-
-type impl = (module Vbl_lists.Set_intf.S)
-
-let instrumented : impl list =
-  [
-    (module Seq_i);
-    (module Coarse_i);
-    (module Hoh_i);
-    (module Optimistic_i);
-    (module Lazy_i);
-    (module Hm_i);
-    (module Hm_tagged_i);
-    (module Fr_i);
-    (module Vbl_postlock_i);
-    (module Vbl_versioned_i);
-    (module Vbl_i);
-    (module Lazy_reclaim_i);
-    (module Hm_reclaim_i);
-    (module Vbl_reclaim_i);
-  ]
-
-let find_instrumented nm : impl =
-  match
-    List.find_opt
-      (fun i ->
-        let module S = (val i : Vbl_lists.Set_intf.S) in
-        S.name = nm)
-      instrumented
-  with
-  | Some i -> i
-  | None -> invalid_arg ("Drive.find_instrumented: unknown algorithm " ^ nm)
 
 type prepared = {
   bodies : (unit -> unit) list;

@@ -1,34 +1,9 @@
 (** Glue between the schedule machinery and concrete implementations on
     the instrumented backend: fresh pre-populated instances wrapped as
-    thread bodies for {!Directed} and {!Explore}. *)
-
-(** The algorithm family instantiated on {!Vbl_memops.Instr_mem}. *)
-module Vbl_i : Vbl_lists.Set_intf.S
-
-module Lazy_i : Vbl_lists.Set_intf.S
-module Hm_i : Vbl_lists.Set_intf.S
-module Hm_tagged_i : Vbl_lists.Set_intf.S
-module Seq_i : Vbl_lists.Set_intf.S
-module Coarse_i : Vbl_lists.Set_intf.S
-module Hoh_i : Vbl_lists.Set_intf.S
-module Optimistic_i : Vbl_lists.Set_intf.S
-module Vbl_postlock_i : Vbl_lists.Set_intf.S
-module Fr_i : Vbl_lists.Set_intf.S
-module Vbl_versioned_i : Vbl_lists.Set_intf.S
-
-(** Reclaiming variants on {!Vbl_memops.Instr_reclaim.Safe}: DPOR
-    interleaves the epoch protocol against traversals. *)
-
-module Vbl_reclaim_i : Vbl_lists.Set_intf.S
-module Lazy_reclaim_i : Vbl_lists.Set_intf.S
-module Hm_reclaim_i : Vbl_lists.Set_intf.S
-
-type impl = (module Vbl_lists.Set_intf.S)
-
-val instrumented : impl list
-
-val find_instrumented : string -> impl
-(** Lookup by [S.name]; raises [Invalid_argument] on unknown names. *)
+    thread bodies for {!Directed} and {!Explore}.  The instrumented sets
+    are declared in the family registries, beside their real builds
+    ({!Vbl_lists.Registry.instrumented} for the lists); this module
+    applies no algorithm functor. *)
 
 type prepared = {
   bodies : (unit -> unit) list;

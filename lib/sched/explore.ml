@@ -55,9 +55,9 @@
     window is forcibly descheduled whenever another thread is runnable,
     so spin-wait loops waiting on another thread's store terminate.
 
-    {!run_naive} keeps the pre-DPOR brute-force DFS (every enabled thread
+    [Dfs bound] keeps the pre-DPOR brute-force DFS (every enabled thread
     branches at every step) for comparison and for the DFS-vs-DPOR parity
-    suite; it is [run ~strategy:(Dfs bound)]. *)
+    suite. *)
 
 module Instr = Vbl_memops.Instr_mem
 module Metrics = Vbl_obs.Metrics
@@ -76,11 +76,10 @@ and instance = {
 
 type config = {
   max_executions : int;  (** hard cap on explored executions *)
-  preemption_bound : int option;  (** [None] = full exhaustive exploration *)
   max_steps : int;  (** per-execution step cap (guards against livelock) *)
 }
 
-let default_config = { max_executions = 50_000; preemption_bound = Some 3; max_steps = 5_000 }
+let default_config = { max_executions = 50_000; max_steps = 5_000 }
 
 (* ------------------------------------------------------------------ *)
 (* Schedule bounds.                                                    *)
@@ -146,9 +145,6 @@ let none : bound =
     let cost ~last:_ ~enabled:_ ~choice:_ = 0
     let priority ~last:_ ~enabled:_ ~choice:_ = 0
   end)
-
-let bound_of_config config =
-  match config.preemption_bound with None -> none | Some b -> preempt b
 
 type random_config = { seed : int64; iters : int }
 
@@ -754,14 +750,8 @@ let run_random ~config ~monitor { seed; iters } scenario =
 (* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(config = default_config) ?monitor ?strategy scenario =
-  let strategy =
-    match strategy with Some s -> s | None -> Dpor (bound_of_config config)
-  in
+let run ?(config = default_config) ?monitor ?(strategy = Dpor (preempt 3)) scenario =
   match strategy with
   | Dpor b -> run_dpor ~config ~monitor b scenario
   | Dfs b -> run_dfs ~config ~monitor b scenario
   | Random rc -> run_random ~config ~monitor rc scenario
-
-let run_naive ?(config = default_config) ?monitor scenario =
-  run ~config ?monitor ~strategy:(Dfs (bound_of_config config)) scenario

@@ -12,7 +12,9 @@
       are pruned by sleep sets.  With the {!none} bound it is sound and
       complete per Mazurkiewicz trace.
     - [Dfs bound] — the brute-force DFS (every enabled thread branches at
-      every step), kept for parity and reduction measurements.
+      every step), kept for parity and reduction measurements: the same
+      verdicts as DPOR, no reduction ([sleep_blocked] and [races] are
+      always [0]).
     - [Random {seed; iters}] — weighted-random swarm scheduling for
       schedule spaces too large to enumerate: each run draws its own
       weights, preemption probability, and fairness window from the
@@ -43,9 +45,6 @@ and instance = {
 
 type config = {
   max_executions : int;
-  preemption_bound : int option;
-      (** legacy bound selector used when no [strategy] is passed:
-          [Some n] = {!preempt}[ n], [None] = {!none} *)
   max_steps : int;  (** per-execution cap (guards against livelock) *)
 }
 
@@ -85,9 +84,6 @@ val none : bound
 (** No bound: full exhaustive exploration. *)
 
 val bound_name : bound -> string
-
-val bound_of_config : config -> bound
-(** The bound [config.preemption_bound] historically encoded. *)
 
 type random_config = { seed : int64; iters : int }
 
@@ -149,11 +145,5 @@ val verdict_at_quiescence : instance -> step_monitor option -> int list -> failu
 
 val run :
   ?config:config -> ?monitor:(unit -> step_monitor) -> ?strategy:strategy -> scenario -> report
-(** Explore under [strategy] (default: [Dpor (bound_of_config config)],
-    the historical behaviour).  [monitor] is called once per execution to
-    create a fresh observer. *)
-
-val run_naive : ?config:config -> ?monitor:(unit -> step_monitor) -> scenario -> report
-(** [run ~strategy:(Dfs (bound_of_config config))]: the pre-DPOR
-    brute-force DFS; identical verdicts, no reduction ([sleep_blocked]
-    and [races] are always [0]). *)
+(** Explore under [strategy] (default: [Dpor (preempt 3)]).  [monitor] is
+    called once per execution to create a fresh observer. *)

@@ -135,5 +135,5 @@ module Fig3 = struct
     ]
 
   let run_vbl () =
-    Drive.run_script (module Drive.Vbl_i) ~initial ~ops vbl_phase_b_script
+    Drive.run_script (module Vbl_lists.Registry.Vbl_i) ~initial ~ops vbl_phase_b_script
 end

@@ -12,7 +12,7 @@ module Fig2 : sig
 
   val script : Directed.directive list
 
-  val run : Drive.impl -> Directed.outcome
+  val run : (module Vbl_lists.Set_intf.S) -> Directed.outcome
   (** Drive the Figure 2 schedule against an implementation: VBL accepts,
       the lazy list rejects with [Thread_blocked]. *)
 
@@ -32,7 +32,7 @@ module Fig3 : sig
   (** In Harris-Michael's adjusted-LL vocabulary; both HM encodings reject
       it with [Step_failed] at insert(4)'s unlink. *)
 
-  val run : Drive.impl -> Directed.outcome
+  val run : (module Vbl_lists.Set_intf.S) -> Directed.outcome
 
   val vbl_phase_b_script : Directed.directive list
   (** The same four operations adapted to VBL's immediate unlink. *)

@@ -1,7 +1,8 @@
 (** Sharded-set registry, mirroring {!Vbl_lists.Registry}: VBL-backed
-    sharded frontends at the shard counts the benchmarks sweep, on both
-    backends.  The full {!Sharded_set.S} (batch API, per-shard sizes) is
-    reachable through {!batched}; the plain registry views erase to
+    sharded frontends at the shard counts the benchmarks sweep, each on
+    the real backend beside its instrumented twin.  The full
+    {!Sharded_set.S} (batch API, per-shard sizes) is reachable through
+    {!batched}; the plain registry views erase to
     {!Vbl_lists.Set_intf.S} like every other implementation. *)
 
 module I = Vbl_memops.Instr_mem
@@ -48,23 +49,7 @@ module Vbl_sharded_16_i =
 
 type impl = (module Vbl_lists.Set_intf.S)
 
-let all : impl list =
-  [
-    (module Vbl_sharded_2);
-    (module Vbl_sharded_4);
-    (module Vbl_sharded_8);
-    (module Vbl_sharded_16);
-    (module Vbl_sharded_8_reclaim);
-  ]
-
-let instrumented : impl list =
-  [
-    (module Vbl_sharded_2_i);
-    (module Vbl_sharded_4_i);
-    (module Vbl_sharded_8_i);
-    (module Vbl_sharded_16_i);
-  ]
-
+(* The full signature is listed once; the plain registry view erases it. *)
 let batched : (module Sharded_set.S) list =
   [
     (module Vbl_sharded_2);
@@ -74,13 +59,13 @@ let batched : (module Sharded_set.S) list =
     (module Vbl_sharded_8_reclaim);
   ]
 
-let find_exn nm : impl =
-  match
-    List.find_opt
-      (fun i ->
-        let module S = (val i : Vbl_lists.Set_intf.S) in
-        S.name = nm)
-      all
-  with
-  | Some i -> i
-  | None -> invalid_arg ("Vbl_shard.Registry.find_exn: unknown algorithm " ^ nm)
+let all : impl list =
+  List.map (fun (module S : Sharded_set.S) -> (module S : Vbl_lists.Set_intf.S)) batched
+
+let instrumented : impl list =
+  [
+    (module Vbl_sharded_2_i);
+    (module Vbl_sharded_4_i);
+    (module Vbl_sharded_8_i);
+    (module Vbl_sharded_16_i);
+  ]

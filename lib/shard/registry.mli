@@ -1,6 +1,8 @@
 (** Sharded-set registry: VBL-backed frontends at shard counts 2/4/8/16,
-    real-backend instances for benchmarks plus instrumented ones for the
-    schedule machinery. *)
+    each on the real backend, for benchmarks, beside its instrumented
+    twin, for the schedule machinery.  Like {!Vbl_lists.Registry}, it is
+    the one place the family's sets are declared.  The 8-shard
+    reclaiming frontend has no twin. *)
 
 module Vbl_sharded_2 : Sharded_set.S
 module Vbl_sharded_4 : Sharded_set.S
@@ -21,9 +23,8 @@ val all : impl list
 (** Real-backend instances, ascending shard count. *)
 
 val instrumented : impl list
+(** The twins, ascending shard count. *)
 
 val batched : (module Sharded_set.S) list
 (** The same real-backend instances at their full signature (batch API,
     per-shard sizes). *)
-
-val find_exn : string -> impl

@@ -98,7 +98,9 @@ module Make (C_ : CONFIG) (B : Vbl_lists.Set_intf.MAKER) (M : Vbl_memops.Mem_int
   let create () =
     let shards = Array.init shard_count (fun _ -> Backend.create ()) in
     let sizes =
-      Array.init shard_count (fun _ -> M.make_padded ~line:(M.fresh_line ()) 0)
+      Array.init shard_count (fun s ->
+          let name = if M.named then Vbl_lists.Naming.size_stripe s else "" in
+          M.make_padded ~name ~line:(M.fresh_line ()) 0)
     in
     { shards; sizes }
 

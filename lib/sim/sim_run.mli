@@ -28,5 +28,6 @@ val run :
   (module Vbl_lists.Set_intf.S) ->
   params ->
   result
-(** The implementation must be instantiated on the instrumented backend
-    (e.g. from {!Vbl_sched.Drive.instrumented}). *)
+(** The implementation must be instantiated on the instrumented backend:
+    an [instrumented] entry of a family registry, such as
+    {!Vbl_lists.Registry.instrumented}. *)

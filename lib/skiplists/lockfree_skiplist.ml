@@ -39,23 +39,25 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     | Node n -> n.next.(lvl)
     | Tail _ -> assert false (* the tail's +inf value stops every loop *)
 
-  (* Names are only built for instrumented backends ([M.named]).  The
-     tower is the one expression built twice: one closure over the name
-     and the line would cost every real insert two more words. *)
-  let make_node value next_targets =
+  (* Names are only built for instrumented backends ([M.named]).  A new
+     tower links to [succs.(0..top_level-1)]; its cells are made by a loop,
+     level 0 first, so neither a closure nor a copy of [succs] is
+     allocated. *)
+  let tower_cell nm ~line succs lvl =
+    M.field nm (if M.named then ".next" ^ string_of_int lvl else "") ~line (Live succs.(lvl))
+
+  let tower nm ~line succs top_level =
+    let next = Array.make top_level (tower_cell nm ~line succs 0) in
+    for lvl = 1 to top_level - 1 do
+      next.(lvl) <- tower_cell nm ~line succs lvl
+    done;
+    next
+
+  let make_node value succs top_level =
     let line = M.fresh_line () in
     let nm = if M.named then Vbl_lists.Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next =
-          (if M.named then
-             Array.mapi
-               (fun lvl succ -> M.field nm (".next" ^ string_of_int lvl) ~line (Live succ))
-               next_targets
-           else Array.map (fun succ -> M.field "" "" ~line (Live succ)) next_targets);
-      }
+    Node { value = M.field nm ".val" ~line value; next = tower nm ~line succs top_level }
 
   let create () =
     let tl = M.fresh_line () in
@@ -143,7 +145,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let rec attempt () =
       if find t v preds succs pred_links then false
       else begin
-        let x = make_node v (Array.init top_level (fun lvl -> succs.(lvl))) in
+        let x = make_node v succs top_level in
         (* Linearization point: splice into the bottom level. *)
         if M.cas (link_cell preds.(0) 0) pred_links.(0) (Live x) then begin
           link_upper x 1;

@@ -1,6 +1,5 @@
-(** Skip-list registry, mirroring {!Vbl_lists.Registry}: real-backend
-    instantiations for benchmarks/examples, instrumented ones for the
-    schedule machinery. *)
+(** Skip-list registry, mirroring {!Vbl_lists.Registry}: each set on the
+    real backend beside its instrumented twin. *)
 
 module I = Vbl_memops.Instr_mem
 
@@ -19,14 +18,3 @@ let all : impl list = [ (module Lazy_skip); (module Vbl_skip); (module Lockfree_
 
 let instrumented : impl list =
   [ (module Lazy_skip_i); (module Vbl_skip_i); (module Lockfree_skip_i) ]
-
-let find_exn nm : impl =
-  match
-    List.find_opt
-      (fun i ->
-        let module S = (val i : Vbl_lists.Set_intf.S) in
-        S.name = nm)
-      all
-  with
-  | Some i -> i
-  | None -> invalid_arg ("Vbl_skiplists.Registry.find_exn: unknown algorithm " ^ nm)

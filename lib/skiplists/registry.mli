@@ -1,5 +1,7 @@
-(** Skip-list registry: real-backend instantiations for benchmarks, and
-    instrumented ones for the schedule machinery. *)
+(** Skip-list registry: each set on the real backend, for benchmarks,
+    beside its instrumented twin on {!Vbl_memops.Instr_mem}, for the
+    schedule machinery.  Like {!Vbl_lists.Registry}, it is the one place
+    the family's sets are declared. *)
 
 module Lazy_skip : Vbl_lists.Set_intf.S
 module Vbl_skip : Vbl_lists.Set_intf.S
@@ -11,6 +13,6 @@ module Lockfree_skip_i : Vbl_lists.Set_intf.S
 type impl = (module Vbl_lists.Set_intf.S)
 
 val all : impl list
-val instrumented : impl list
 
-val find_exn : string -> impl
+val instrumented : impl list
+(** The twins of [all], in the same order. *)

@@ -56,22 +56,28 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let next_cell node level =
     match node with Node n -> n.next.(level) | Tail _ -> assert false
 
-  (* Names are only built for instrumented backends ([M.named]).  The
-     tower is the one expression built twice: one closure over the name
-     and the line would cost every real insert two more words. *)
-  let make_node value next_targets =
+  (* Names are only built for instrumented backends ([M.named]).  A new
+     tower links to [succs.(0..top_level-1)]; its cells are made by a loop,
+     level 0 first, so neither a closure nor a copy of [succs] is
+     allocated. *)
+  let tower_cell nm ~line succs lvl =
+    M.field nm (if M.named then ".next" ^ string_of_int lvl else "") ~line succs.(lvl)
+
+  let tower nm ~line succs top_level =
+    let next = Array.make top_level (tower_cell nm ~line succs 0) in
+    for lvl = 1 to top_level - 1 do
+      next.(lvl) <- tower_cell nm ~line succs lvl
+    done;
+    next
+
+  let make_node value succs top_level =
     let line = M.fresh_line () in
     let nm = if M.named then Vbl_lists.Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
     Node
       {
         value = M.field nm ".val" ~line value;
-        next =
-          (if M.named then
-             Array.mapi
-               (fun lvl succ -> M.field nm (".next" ^ string_of_int lvl) ~line succ)
-               next_targets
-           else Array.map (fun succ -> M.field "" "" ~line succ) next_targets);
+        next = tower nm ~line succs top_level;
         marked = M.field nm ".del" ~line false;
         fully_linked = M.field nm ".linked" ~line false;
         lock = M.field_lock nm ".lock" ~line ();
@@ -178,7 +184,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
           attempt ()
         end
         else begin
-          let x = make_node v (Array.init top_level (fun lvl -> succs.(lvl))) in
+          let x = make_node v succs top_level in
           for lvl = 0 to top_level - 1 do
             M.set (next_cell preds.(lvl) lvl) x
           done;

@@ -1,4 +1,5 @@
-(** Tree registry, mirroring {!Vbl_lists.Registry}. *)
+(** Tree registry, mirroring {!Vbl_lists.Registry}: each set on the real
+    backend beside its instrumented twin. *)
 
 module I = Vbl_memops.Instr_mem
 
@@ -36,14 +37,3 @@ let instrumented : impl list =
     (module Lockfree_bst_i);
     (module Vbl_bst_i);
   ]
-
-let find_exn nm : impl =
-  match
-    List.find_opt
-      (fun i ->
-        let module S = (val i : Vbl_lists.Set_intf.S) in
-        S.name = nm)
-      all
-  with
-  | Some i -> i
-  | None -> invalid_arg ("Vbl_trees.Registry.find_exn: unknown algorithm " ^ nm)

@@ -1,5 +1,7 @@
-(** Tree registry: real-backend instantiations for benchmarks,
-    instrumented ones for the schedule machinery. *)
+(** Tree registry: each set on the real backend, for benchmarks, beside
+    its instrumented twin on {!Vbl_memops.Instr_mem}, for the schedule
+    machinery.  Like {!Vbl_lists.Registry}, it is the one place the
+    family's sets are declared. *)
 
 module Sequential_bst : Vbl_lists.Set_intf.S
 module Coarse_bst_impl : Vbl_lists.Set_intf.S
@@ -15,6 +17,10 @@ module Vbl_bst_i : Vbl_lists.Set_intf.S
 type impl = (module Vbl_lists.Set_intf.S)
 
 val concurrent : impl list
+(** Every set but the single-threaded sequential tree. *)
+
 val all : impl list
+(** [concurrent] plus the sequential tree. *)
+
 val instrumented : impl list
-val find_exn : string -> impl
+(** The twins of [all], in the same order. *)

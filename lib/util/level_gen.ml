@@ -13,13 +13,13 @@ type t = { counter : int Atomic.t }
 
 let create () = { counter = Atomic.make 1 }
 
+(* Count trailing ones of the mixed word: P(level > k) = 2^-k. *)
+let rec trailing_ones k z =
+  if k + 1 >= max_level then k
+  else if z land 1 = 1 then trailing_ones (k + 1) (z lsr 1)
+  else k
+
+(* The first output of a splitmix64 generator seeded with the counter,
+   drawn without a generator record or a boxed [Int64]. *)
 let next_level t =
-  let n = Atomic.fetch_and_add t.counter 1 in
-  let z = Rng.Splitmix.next (Rng.Splitmix.create (Int64.of_int n)) in
-  (* Count trailing ones of the mixed word: P(level > k) = 2^-k. *)
-  let rec count k z =
-    if k + 1 >= max_level then k
-    else if Int64.logand z 1L = 1L then count (k + 1) (Int64.shift_right_logical z 1)
-    else k
-  in
-  1 + count 0 z
+  1 + trailing_ones 0 (Rng.Splitmix.first_int (Atomic.fetch_and_add t.counter 1))

@@ -5,12 +5,20 @@ module Splitmix = struct
 
   (* splitmix64: one 64-bit add per step, output mixed by two xor-shifts.
      Constants are from the reference implementation. *)
-  let next t =
-    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-    let z = t.state in
+  let gamma = 0x9E3779B97F4A7C15L
+
+  (* The output for an advanced state.  Inlined, so its [Int64]s stay
+     unboxed in both callers. *)
+  let[@inline] mix z =
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
     Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let next t =
+    t.state <- Int64.add t.state gamma;
+    mix t.state
+
+  let first_int seed = Int64.to_int (mix (Int64.add (Int64.of_int seed) gamma))
 end
 
 type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }

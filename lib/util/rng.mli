@@ -14,6 +14,10 @@ module Splitmix : sig
 
   val next : t -> int64
   (** [next t] returns the next 64-bit value and advances [t]. *)
+
+  val first_int : int -> int
+  (** [first_int seed] is [Int64.to_int (next (create (Int64.of_int seed)))],
+      computed without allocating: a stateless hash of [seed]. *)
 end
 
 type t

@@ -160,6 +160,14 @@ let recycled_insert_reuses_nodes () =
        fresh node is 13)"
       per_op
 
+(* Every skiplist insert draws its tower height first; the draw is a
+   counter bump and a splitmix64 step in registers. *)
+let next_level_is_allocation_free () =
+  let g = Vbl_util.Level_gen.create () in
+  let per_op = minor_words_per_op ~range:1 (fun _ -> Vbl_util.Level_gen.next_level g) in
+  if per_op > 0.01 then
+    Alcotest.failf "Level_gen.next_level allocates %.3f minor words/op (expected 0)" per_op
+
 let contains_cases =
   List.map
     (fun name ->
@@ -187,9 +195,11 @@ let insert_cases =
       recycled_insert_reuses_nodes;
   ]
 
-(* Every registry set, at the words its insert allocates today.  The
-   skiplist figures are exact for the shuffled order above (tower heights
-   are drawn from a per-set counter); their fraction is the mean tower. *)
+(* Every registry set but the sharded frontends, at the words its insert
+   allocates today (the rows are checked against the registries below).
+   The skiplist figures are exact for the shuffled order above (tower
+   heights are drawn from a per-set counter); their fraction is the mean
+   tower. *)
 let budgets =
   [
     ("sequential", 16.);
@@ -206,15 +216,25 @@ let budgets =
     ("lazy", 13.);
     ("vbl-reclaim", 13.);
     ("lazy-reclaim", 13.);
-    ("lazy-skiplist", 95.07);
-    ("vbl-skiplist", 95.07);
-    ("lockfree-skiplist", 265.06);
+    ("lazy-skiplist", 70.04);
+    ("vbl-skiplist", 70.04);
+    ("lockfree-skiplist", 240.04);
     ("sequential-bst", 29.);
     ("coarse-bst", 44.);
     ("lazy-bst", 34.);
     ("lockfree-bst", 46.);
     ("vbl-bst", 36.);
   ]
+
+(* A set registered without a row would go unmeasured. *)
+let budgets_name_every_unsharded_set () =
+  let name (module S : Vbl_lists.Set_intf.S) = S.name in
+  let sharded = List.map name Vbl_shard.Registry.all in
+  Alcotest.(check (list string))
+    "budget rows"
+    (List.sort compare
+       (List.filter (fun n -> not (List.mem n sharded)) Vbl_harness.Sweep.names))
+    (List.sort compare (List.map fst budgets))
 
 let budget_cases =
   List.map
@@ -223,6 +243,10 @@ let budget_cases =
         (Printf.sprintf "%s: fresh insert allocates %g words" name budget)
         `Quick (insert_allocates name ~budget))
     budgets
+  @ [
+      Alcotest.test_case "the rows name every set but the sharded ones" `Quick
+        budgets_name_every_unsharded_set;
+    ]
 
 let () =
   Alcotest.run "alloc"
@@ -234,5 +258,10 @@ let () =
         [
           Alcotest.test_case "vbl: value-check early exits allocate nothing" `Quick
             failed_updates_are_allocation_free;
+        ] );
+      ( "tower-heights",
+        [
+          Alcotest.test_case "Level_gen.next_level allocates nothing" `Quick
+            next_level_is_allocation_free;
         ] );
     ]

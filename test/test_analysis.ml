@@ -11,8 +11,11 @@ module Check = Vbl_analysis.Check
 module Mutants = Vbl_analysis.Mutants
 module Ll = Ll_abstract
 
-let quick_config =
-  { Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
+let quick_config = { Explore.max_executions = 200_000; max_steps = 5_000 }
+
+(* The brute-force DFS the parity tests compare DPOR against, under the
+   bound DPOR runs with by default. *)
+let naive_dfs = Explore.Dfs (Explore.preempt 3)
 
 let is_infix ~affix s =
   let n = String.length affix and m = String.length s in
@@ -119,7 +122,7 @@ let failure_tests =
           in
           [ grab a b; grab b a ]
         in
-        let report = Explore.run_naive ~config:quick_config (raw_scenario mk) in
+        let report = Explore.run ~config:quick_config ~strategy:naive_dfs (raw_scenario mk) in
         match report.Explore.failure with
         | Some (Explore.Deadlock _) -> ()
         | _ -> Alcotest.fail "expected Deadlock from the naive DFS");
@@ -140,9 +143,9 @@ let dpor_tests =
   List.map
     (fun (label, nm, initial, ops) ->
       Alcotest.test_case (Printf.sprintf "parity + reduction: %s" label) `Slow (fun () ->
-          let impl = Drive.find_instrumented nm in
+          let impl = Vbl_harness.Sweep.find_instrumented nm in
           let scenario = Drive.explore_scenario impl ~initial ~ops in
-          let naive = Explore.run_naive ~config:quick_config scenario in
+          let naive = Explore.run ~config:quick_config ~strategy:naive_dfs scenario in
           let dpor = Explore.run ~config:quick_config scenario in
           Alcotest.(check bool) "naive passes" true (naive.Explore.failure = None);
           Alcotest.(check bool) "dpor passes" true (dpor.Explore.failure = None);
@@ -160,7 +163,7 @@ let dpor_tests =
       reference_scenarios
   @ [
       Alcotest.test_case "parity on a buggy list: both explorers fail" `Quick (fun () ->
-          let impl = Drive.find_instrumented "sequential" in
+          let impl = Vbl_harness.Sweep.find_instrumented "sequential" in
           let scenario =
             Drive.explore_scenario impl ~initial:[ 2 ] ~ops:[ Ll.insert 1; Ll.remove 2 ]
           in
@@ -170,7 +173,7 @@ let dpor_tests =
             | _ -> false
           in
           Alcotest.(check bool) "naive finds the bug" true
-            (failed (Explore.run_naive ~config:quick_config scenario));
+            (failed (Explore.run ~config:quick_config ~strategy:naive_dfs scenario));
           Alcotest.(check bool) "dpor finds the bug" true
             (failed (Explore.run ~config:quick_config scenario)));
     ]
@@ -185,9 +188,9 @@ let dpor_tests =
 let verdict_parity_tests =
   let impls =
     [|
-      ("vbl", fun () -> Drive.find_instrumented "vbl");
-      ("lazy", fun () -> Drive.find_instrumented "lazy");
-      ("harris-michael", fun () -> Drive.find_instrumented "harris-michael");
+      ("vbl", fun () -> Vbl_harness.Sweep.find_instrumented "vbl");
+      ("lazy", fun () -> Vbl_harness.Sweep.find_instrumented "lazy");
+      ("harris-michael", fun () -> Vbl_harness.Sweep.find_instrumented "harris-michael");
       ("vbl-no-deleted-check", fun () -> Mutants.find "vbl-no-deleted-check");
       ("lazy-no-validation", fun () -> Mutants.find "lazy-no-validation");
     |]
@@ -218,7 +221,7 @@ let verdict_parity_tests =
           let nm, impl, initial, ops = gen_scenario st in
           let scenario = Drive.explore_scenario impl ~initial ~ops in
           let dpor = Explore.run ~config:quick_config scenario in
-          let naive = Explore.run_naive ~config:quick_config scenario in
+          let naive = Explore.run ~config:quick_config ~strategy:naive_dfs scenario in
           Alcotest.(check bool)
             (Printf.sprintf "scenario %d (%s): verdicts agree" i nm)
             (naive.Explore.failure = None)
@@ -568,7 +571,7 @@ let shrink_tests =
           (r1.Explore.failure <> None && r2.Explore.failure <> None);
         Alcotest.(check (list int)) "identical shrunk schedules" (sched s1) (sched s2));
     Alcotest.test_case "a passing schedule is a no-op shrink" `Quick (fun () ->
-        let impl = Drive.find_instrumented "vbl" in
+        let impl = Vbl_harness.Sweep.find_instrumented "vbl" in
         let scenario =
           Drive.explore_scenario impl ~initial:[ 2 ] ~ops:[ Ll.insert 1; Ll.remove 2 ]
         in

@@ -673,10 +673,10 @@ let () =
   let clean_instr =
     List.map instr_clean_case
       [
-        (module Vbl_sched.Drive.Vbl_i : Vbl_lists.Set_intf.S);
-        (module Vbl_sched.Drive.Lazy_i);
-        (module Vbl_sched.Drive.Hm_tagged_i);
-        (module Vbl_sched.Drive.Coarse_i);
+        (module Vbl_lists.Registry.Vbl_i : Vbl_lists.Set_intf.S);
+        (module Vbl_lists.Registry.Lazy_i);
+        (module Vbl_lists.Registry.Hm_tagged_i);
+        (module Vbl_lists.Registry.Coarse_i);
         (module Vbl_shard.Registry.Vbl_sharded_4_i);
         (module Vbl_skiplists.Registry.Vbl_skip_i);
         (module Vbl_trees.Registry.Vbl_bst_i);
@@ -720,7 +720,22 @@ let () =
       ("instr-mutants", mutants);
       ("batch", List.map batch_case Vbl_shard.Registry.batched);
       ("range", range_cases);
-      ("specialised", List.map twin_case twins);
+      ( "specialised",
+        List.map twin_case twins
+        @ [
+            (* A set registered without a twin row would go unchecked. *)
+            Alcotest.test_case "the twins name every set but the sharded ones" `Quick
+              (fun () ->
+                let name (module S : Vbl_lists.Set_intf.S) = S.name in
+                let sharded = List.map name Vbl_shard.Registry.all in
+                Alcotest.(check (list string))
+                  "twin rows"
+                  (List.sort compare
+                     (List.filter
+                        (fun n -> not (List.mem n sharded))
+                        Vbl_harness.Sweep.names))
+                  (List.sort compare (List.map (fun (g, _) -> name g) twins)));
+          ] );
       (* The hand-specialised copy perfbench's l1 rung times must agree
          with the registry vbl, or that rung measures something else. *)
       ( "vbl-direct",

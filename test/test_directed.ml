@@ -208,10 +208,10 @@ let driver_tests =
    versioned-lock implementation; the same abstract schedule is refused
    by the lock-first baseline with the pinned rejection kind. *)
 
-let vbl_bst : Drive.impl = (module Vbl_trees.Registry.Vbl_bst_i)
-let lazy_bst : Drive.impl = (module Vbl_trees.Registry.Lazy_bst_i)
-let vbl_skip : Drive.impl = (module Vbl_skiplists.Registry.Vbl_skip_i)
-let lazy_skip : Drive.impl = (module Vbl_skiplists.Registry.Lazy_skip_i)
+let vbl_bst : Vbl_trees.Registry.impl = (module Vbl_trees.Registry.Vbl_bst_i)
+let lazy_bst : Vbl_trees.Registry.impl = (module Vbl_trees.Registry.Lazy_bst_i)
+let vbl_skip : Vbl_skiplists.Registry.impl = (module Vbl_skiplists.Registry.Vbl_skip_i)
+let lazy_skip : Vbl_skiplists.Registry.impl = (module Vbl_skiplists.Registry.Lazy_skip_i)
 
 let check_accepted outcome =
   match outcome with

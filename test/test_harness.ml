@@ -77,7 +77,7 @@ let workload_tests =
 let runner_tests =
   [
     Alcotest.test_case "runner measures and keeps the list intact" `Slow (fun () ->
-        let impl = Vbl_lists.Registry.find_exn "vbl" in
+        let impl = (module Vbl_lists.Registry.Vbl : Vbl_lists.Set_intf.S) in
         let r =
           Vbl_harness.Runner.run impl
             {
@@ -96,7 +96,7 @@ let runner_tests =
         | Ok () -> ()
         | Error msg -> Alcotest.fail msg);
     Alcotest.test_case "runner validates parameters" `Quick (fun () ->
-        let impl = Vbl_lists.Registry.find_exn "vbl" in
+        let impl = (module Vbl_lists.Registry.Vbl : Vbl_lists.Set_intf.S) in
         Alcotest.check_raises "threads" (Invalid_argument "Runner.run: threads must be >= 1")
           (fun () ->
             ignore
@@ -150,13 +150,13 @@ let sweep_tests =
    one seeded simulated run steps through, digit runs written [#].
    Schedule scripts address steps by these names and [Pattern] classifies
    steps by their suffixes, so a builder that names a cell differently on
-   some path shows up here.  An empty name is a cell the set leaves
-   unnamed (the sharded frontends' size stripes). *)
+   some path shows up here, and so does a cell left unnamed (an empty
+   name). *)
 let vocabulary =
   let lists = "X# X#.del X#.lock X#.next X#.val h.del h.lock h.next" in
   let skiplists = "X# X#.del X#.linked X#.lock X#.next# X#.val h.del h.lock h.next# t.val" in
   let bsts = "L# L#.val Lmin.val R# R#.del R#.key R#.left R#.right Rmax.key Rmax.left" in
-  let sharded = " X# X#.del X#.lock X#.next X#.val h.del h.lock h.next h.val t.val" in
+  let sharded = "X# X#.del X#.lock X#.next X#.val h.del h.lock h.next h.val shard#.size t.val" in
   [
     ("sequential", "X# X#.next X#.val h.next t.val");
     ("coarse", "X# X#.next X#.val global.lock h.next t.val");
@@ -224,6 +224,9 @@ let step_vocabulary name =
   |> List.map (fun (e : Vbl_obs.Trace.event) -> hash_digits e.step)
   |> List.sort_uniq compare |> String.concat " "
 
+let instrumented_names =
+  List.map (fun (module S : Vbl_lists.Set_intf.S) -> S.name) Vbl_harness.Sweep.instrumented
+
 let lookup_tests =
   [
     Alcotest.test_case "find_real resolves every registry" `Quick (fun () ->
@@ -231,21 +234,25 @@ let lookup_tests =
           (fun name ->
             let module S = (val Vbl_harness.Sweep.find_real name) in
             Alcotest.(check string) "name" name S.name)
-          [ "vbl"; "lazy"; "harris-michael"; "fomitchev-ruppert"; "vbl-versioned";
-            "lazy-skiplist"; "lockfree-skiplist"; "vbl-skiplist"; "coarse-bst"; "vbl-bst" ]);
+          Vbl_harness.Sweep.names);
     Alcotest.test_case "find_instrumented resolves every registry" `Quick (fun () ->
         List.iter
           (fun name ->
             let module S = (val Vbl_harness.Sweep.find_instrumented name) in
             Alcotest.(check string) "name" name S.name)
-          [ "vbl"; "lazy"; "harris-michael-tagged"; "vbl-postlock";
-            "lazy-skiplist"; "lockfree-skiplist"; "vbl-skiplist"; "vbl-bst" ]);
+          instrumented_names);
     Alcotest.test_case "every instrumented set keeps its step-name vocabulary" `Quick
       (fun () ->
         List.iter
           (fun (name, expected) ->
             Alcotest.(check string) name expected (step_vocabulary name))
           vocabulary);
+    (* A set registered without a vocabulary row would go unchecked. *)
+    Alcotest.test_case "the vocabulary names every instrumented set" `Quick (fun () ->
+        Alcotest.(check (list string))
+          "vocabulary rows"
+          (List.sort compare instrumented_names)
+          (List.sort compare (List.map fst vocabulary)));
     Alcotest.test_case "unknown names are rejected" `Quick (fun () ->
         Alcotest.check_raises "real"
           (Invalid_argument "Sweep.find_real: unknown algorithm no-such-thing")

@@ -521,7 +521,7 @@ let single_threaded_readonly_test =
 let forced_contention_test =
   Alcotest.test_case "2-thread forced contention: restarts and lock failures"
     `Quick (fun () ->
-      let module S = Drive.Vbl_i in
+      let module S = Vbl_lists.Registry.Vbl_i in
       let t =
         Instr.run_sequential (fun () ->
             let t = S.create () in
@@ -662,7 +662,7 @@ let bst_forced_restart_test =
    is installed. *)
 let exec_trace_test =
   Alcotest.test_case "conductor emits one event per step" `Quick (fun () ->
-      let module S = Drive.Vbl_i in
+      let module S = Vbl_lists.Registry.Vbl_i in
       let t = Instr.run_sequential (fun () -> S.create ()) in
       let tr = Trace.create () in
       Probe.install (Probe.tracer tr);

@@ -76,7 +76,7 @@ let churn_recycles find name () =
 (* The non-reclaiming backends must not touch the reclamation counters:
    the hooks are compiled-out no-ops behind [M.reclaiming]. *)
 let plain_backend_never_retires () =
-  let module S = (val Reg.find_exn "vbl" : Vbl_lists.Set_intf.S) in
+  let module S = Reg.Vbl in
   let t = S.create () in
   with_metrics (fun () -> churn (module S) t);
   let s = Metrics.snapshot () in
@@ -87,14 +87,12 @@ let real_cases =
   List.map
     (fun name ->
       Alcotest.test_case (name ^ ": churn recycles, limbo bounded") `Quick
-        (churn_recycles (fun n -> Reg.find_exn n) name))
+        (churn_recycles Vbl_harness.Sweep.find_real name))
     [ "vbl-reclaim"; "lazy-reclaim"; "harris-michael-reclaim" ]
   @ [
       Alcotest.test_case "vbl-sharded-8-reclaim: churn recycles, limbo bounded"
         `Quick
-        (churn_recycles
-           (fun n -> Vbl_shard.Registry.find_exn n)
-           "vbl-sharded-8-reclaim");
+        (churn_recycles Vbl_harness.Sweep.find_real "vbl-sharded-8-reclaim");
       Alcotest.test_case "vbl (plain): reclamation counters stay zero" `Quick
         plain_backend_never_retires;
     ]
@@ -108,7 +106,7 @@ let real_cases =
    2..20; inside the fold's epoch bracket node 1 stays in limbo until
    the walk leaves it. *)
 let parked_fold_sees_untouched_keys name () =
-  let module S = (val Reg.find_exn name : Vbl_lists.Set_intf.S) in
+  let module S = (val Vbl_harness.Sweep.find_real name : Vbl_lists.Set_intf.S) in
   let t = S.create () in
   for v = 1 to 20 do
     ignore (S.insert t v : bool)
@@ -225,8 +223,7 @@ let real_cases =
 (* Instrumented backend: DPOR over the epoch protocol.                 *)
 (* ------------------------------------------------------------------ *)
 
-let quick_config =
-  { Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
+let quick_config = { Explore.max_executions = 200_000; max_steps = 5_000 }
 
 (* The use-after-reclaim shape: with initial contents [1; 2], one thread
    removes 1 (retiring its node), another inserts 3 (whose recycle can be
@@ -247,7 +244,8 @@ end
 
 let safe_explores_clean name () =
   let report =
-    Explore.run ~config:quick_config (reclaim_scenario (Drive.find_instrumented name))
+    Explore.run ~config:quick_config
+      (reclaim_scenario (Vbl_harness.Sweep.find_instrumented name))
   in
   (match report.Explore.failure with
   | None -> ()

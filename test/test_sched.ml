@@ -4,6 +4,7 @@
 
 open Vbl_sched
 module Instr = Vbl_memops.Instr_mem
+module Reg = Vbl_lists.Registry
 
 (* ------------------------------------------------------------------ *)
 (* Exec: the cooperative conductor.                                    *)
@@ -109,8 +110,7 @@ let ops2 = [ Ll_abstract.insert 1; Ll_abstract.insert 2 ]
 (* Preemption-bounded: 3 preemptions suffice for every known bug pattern in
    these algorithms while keeping the schedule count tractable for the
    lock-heavy scenarios (two VBL removes take ~25 steps each). *)
-let explore_config =
-  { Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
+let explore_config = { Explore.max_executions = 200_000; max_steps = 5_000 }
 
 let explore_tests =
   let lin_ok name impl initial ops =
@@ -130,62 +130,62 @@ let explore_tests =
            exploration of two concurrent inserts at the same position:
            this validates the whole detection pipeline. *)
         let scenario =
-          Drive.explore_scenario (module Drive.Seq_i) ~initial:[] ~ops:ops2
+          Drive.explore_scenario (module Reg.Seq_i) ~initial:[] ~ops:ops2
         in
         let r = Explore.run ~config:explore_config scenario in
         match r.Explore.failure with
         | Some (Explore.Not_linearizable _) | Some (Explore.Invariant_broken _) -> ()
         | Some f -> Alcotest.failf "unexpected failure kind: %a" Explore.pp_failure f
         | None -> Alcotest.fail "expected the sequential list to fail");
-    lin_ok "vbl" (module Drive.Vbl_i) [] ops2;
+    lin_ok "vbl" (module Reg.Vbl_i) [] ops2;
     lin_ok "vbl contended remove"
-      (module Drive.Vbl_i)
+      (module Reg.Vbl_i)
       [ 1; 2 ]
       [ Ll_abstract.remove 1; Ll_abstract.remove 2 ];
     lin_ok "vbl insert vs remove"
-      (module Drive.Vbl_i)
+      (module Reg.Vbl_i)
       [ 2 ]
       [ Ll_abstract.insert 1; Ll_abstract.remove 2 ];
     lin_ok "vbl same-key insert/remove"
-      (module Drive.Vbl_i)
+      (module Reg.Vbl_i)
       [ 1 ]
       [ Ll_abstract.remove 1; Ll_abstract.insert 1 ];
     lin_ok "vbl contains during remove"
-      (module Drive.Vbl_i)
+      (module Reg.Vbl_i)
       [ 1 ]
       [ Ll_abstract.remove 1; Ll_abstract.contains 1 ];
-    lin_ok "lazy" (module Drive.Lazy_i) [] ops2;
+    lin_ok "lazy" (module Reg.Lazy_i) [] ops2;
     lin_ok "lazy remove race"
-      (module Drive.Lazy_i)
+      (module Reg.Lazy_i)
       [ 1 ]
       [ Ll_abstract.remove 1; Ll_abstract.insert 1 ];
-    lin_ok "harris-michael" (module Drive.Hm_i) [] ops2;
+    lin_ok "harris-michael" (module Reg.Hm_i) [] ops2;
     lin_ok "harris-michael remove race"
-      (module Drive.Hm_i)
+      (module Reg.Hm_i)
       [ 1 ]
       [ Ll_abstract.remove 1; Ll_abstract.insert 1 ];
-    lin_ok "harris-michael-tagged" (module Drive.Hm_tagged_i) [] ops2;
+    lin_ok "harris-michael-tagged" (module Reg.Hm_tagged_i) [] ops2;
     lin_ok "harris-michael-tagged deferred unlink"
-      (module Drive.Hm_tagged_i)
+      (module Reg.Hm_tagged_i)
       [ 1; 2 ]
       [ Ll_abstract.remove 1; Ll_abstract.remove 2 ];
-    lin_ok "fomitchev-ruppert" (module Drive.Fr_i) [] ops2;
+    lin_ok "fomitchev-ruppert" (module Reg.Fr_i) [] ops2;
     lin_ok "fomitchev-ruppert remove race"
-      (module Drive.Fr_i)
+      (module Reg.Fr_i)
       [ 1 ]
       [ Ll_abstract.remove 1; Ll_abstract.insert 1 ];
     lin_ok "fomitchev-ruppert concurrent removes"
-      (module Drive.Fr_i)
+      (module Reg.Fr_i)
       [ 1; 2 ]
       [ Ll_abstract.remove 1; Ll_abstract.remove 2 ];
-    lin_ok "vbl-postlock" (module Drive.Vbl_postlock_i) [] ops2;
+    lin_ok "vbl-postlock" (module Reg.Vbl_postlock_i) [] ops2;
     lin_ok "vbl-postlock remove race"
-      (module Drive.Vbl_postlock_i)
+      (module Reg.Vbl_postlock_i)
       [ 1 ]
       [ Ll_abstract.remove 1; Ll_abstract.insert 1 ];
-    lin_ok "coarse" (module Drive.Coarse_i) [] ops2;
-    lin_ok "hand-over-hand" (module Drive.Hoh_i) [] ops2;
-    lin_ok "optimistic" (module Drive.Optimistic_i) [] ops2;
+    lin_ok "coarse" (module Reg.Coarse_i) [] ops2;
+    lin_ok "hand-over-hand" (module Reg.Hoh_i) [] ops2;
+    lin_ok "optimistic" (module Reg.Optimistic_i) [] ops2;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -282,22 +282,22 @@ let figure_tests =
   [
     Alcotest.test_case "Fig2: VBL accepts" `Quick (fun () ->
         Alcotest.check outcome "vbl" accepted_outcome
-          (Paper_figures.Fig2.run (module Drive.Vbl_i)));
+          (Paper_figures.Fig2.run (module Reg.Vbl_i)));
     Alcotest.test_case "Fig2: Lazy rejects (blocked on X1's lock)" `Quick (fun () ->
-        match Paper_figures.Fig2.run (module Drive.Lazy_i) with
+        match Paper_figures.Fig2.run (module Reg.Lazy_i) with
         | Directed.Rejected { reason = Directed.Thread_blocked { tid = 0; lock }; _ } ->
             Alcotest.(check string) "which lock" "X1.lock" lock
         | o -> Alcotest.failf "expected Thread_blocked for insert(1), got %a"
                  (Alcotest.pp outcome) o);
     Alcotest.test_case "Fig3: Harris-Michael (tagged) rejects at insert(4)'s unlink"
       `Quick (fun () ->
-        match Paper_figures.Fig3.run (module Drive.Hm_tagged_i) with
+        match Paper_figures.Fig3.run (module Reg.Hm_tagged_i) with
         | Directed.Rejected { reason = Directed.Step_failed { tid = 3; _ }; _ } -> ()
         | o -> Alcotest.failf "expected Step_failed for insert(4), got %a"
                  (Alcotest.pp outcome) o);
     Alcotest.test_case "Fig3: Harris-Michael (AMR) rejects at insert(4)'s unlink"
       `Quick (fun () ->
-        match Paper_figures.Fig3.run (module Drive.Hm_i) with
+        match Paper_figures.Fig3.run (module Reg.Hm_i) with
         | Directed.Rejected { reason = Directed.Step_failed { tid = 3; _ }; _ } -> ()
         | o -> Alcotest.failf "expected Step_failed for insert(4), got %a"
                  (Alcotest.pp outcome) o);
@@ -340,7 +340,7 @@ let optimality_tests =
                 if Ll_abstract.correct t then begin
                   incr correct_total;
                   let outcome, p =
-                    Drive.run_script_full (module Drive.Vbl_i) ~initial ~ops script
+                    Drive.run_script_full (module Reg.Vbl_i) ~initial ~ops script
                   in
                   let ok =
                     Directed.accepted outcome
@@ -412,7 +412,7 @@ let random_optimality_test =
               (Ll_abstract.enumerate ~initial ~ops ~max:3_000 (fun t ->
                    let script = Ll_abstract.to_script t in
                    let outcome, p =
-                     Drive.run_script_full (module Drive.Vbl_i) ~initial ~ops script
+                     Drive.run_script_full (module Reg.Vbl_i) ~initial ~ops script
                    in
                    let exported =
                      Directed.accepted outcome
@@ -494,9 +494,9 @@ let aba_wakeup_steps (module S : Vbl_lists.Set_intf.S) =
 let aba_test =
   Alcotest.test_case "value-aware validation survives remove+reinsert (§3)" `Quick
     (fun () ->
-      let vbl_steps = aba_wakeup_steps (module Drive.Vbl_i) in
-      let versioned_steps = aba_wakeup_steps (module Drive.Vbl_versioned_i) in
-      let postlock_steps = aba_wakeup_steps (module Drive.Vbl_postlock_i) in
+      let vbl_steps = aba_wakeup_steps (module Reg.Vbl_i) in
+      let versioned_steps = aba_wakeup_steps (module Reg.Vbl_versioned_i) in
+      let postlock_steps = aba_wakeup_steps (module Reg.Vbl_postlock_i) in
       (* VBL needs no re-traversal: its post-wake work is bounded by the
          lock/validate/unlink sequence, well under one list traversal. *)
       Alcotest.(check bool)
@@ -547,18 +547,18 @@ let range_tests =
       [ [ Ll_abstract.remove 1; Ll_abstract.insert 4 ] ]
   in
   [
-    range_ok "vbl" (module Drive.Vbl_i) [ 1; 3 ] (1, 3)
+    range_ok "vbl" (module Reg.Vbl_i) [ 1; 3 ] (1, 3)
       [ [ Ll_abstract.remove 1 ]; [ Ll_abstract.insert 2 ] ];
-    range_ok "lazy" (module Drive.Lazy_i) [ 2 ] (1, 3)
+    range_ok "lazy" (module Reg.Lazy_i) [ 2 ] (1, 3)
       [ [ Ll_abstract.insert 1 ]; [ Ll_abstract.remove 2 ] ];
-    torn_pass "vbl" (module Drive.Vbl_i);
-    torn_pass "lazy" (module Drive.Lazy_i);
+    torn_pass "vbl" (module Reg.Vbl_i);
+    torn_pass "lazy" (module Reg.Lazy_i);
     Alcotest.test_case "sequential list range caught (canary)" `Slow (fun () ->
         (* The unsynchronised list loses one of the racing inserts; the
            trailing contains probes contradict the range/op results and
            the multikey checker must reject some interleaving. *)
         let scenario =
-          Drive.explore_range_scenario (module Drive.Seq_i) ~initial:[] ~range:(1, 3)
+          Drive.explore_range_scenario (module Reg.Seq_i) ~initial:[] ~range:(1, 3)
             ~ops:[ [ Ll_abstract.insert 1 ]; [ Ll_abstract.insert 2 ] ]
         in
         let r = Explore.run ~config:explore_config scenario in

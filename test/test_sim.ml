@@ -128,7 +128,9 @@ let sim_params threads update range =
   }
 
 let run name threads update range =
-  Vbl_sim.Sim_run.run (Vbl_sched.Drive.find_instrumented name) (sim_params threads update range)
+  Vbl_sim.Sim_run.run
+    (Vbl_harness.Sweep.find_instrumented name)
+    (sim_params threads update range)
 
 let sim_run_tests =
   [
@@ -140,7 +142,7 @@ let sim_run_tests =
         let a = run "vbl" 4 20 64 in
         let b =
           Vbl_sim.Sim_run.run
-            (Vbl_sched.Drive.find_instrumented "vbl")
+            (Vbl_harness.Sweep.find_instrumented "vbl")
             { (sim_params 4 20 64) with Vbl_sim.Sim_run.seed = 12L }
         in
         Alcotest.(check bool) "ops differ" true

@@ -201,14 +201,33 @@ let sim_tests =
         Alcotest.(check bool) "height-1 frequency sane" true
           (counts.(1) > n * 2 / 5 && counts.(1) < n * 3 / 5);
         Alcotest.(check bool) "tall towers rare" true (counts.(8) < n / 100));
+    Alcotest.test_case "level generator draws splitmix64's first output per counter"
+      `Quick (fun () ->
+        (* The k-th draw of a fresh generator is one plus the trailing ones
+           of the first output of a splitmix64 generator seeded with k,
+           capped at max_level. *)
+        let expected k =
+          let z =
+            Vbl_util.Rng.Splitmix.next (Vbl_util.Rng.Splitmix.create (Int64.of_int k))
+          in
+          let rec ones n z =
+            if n + 1 >= Vbl_util.Level_gen.max_level || Int64.logand z 1L = 0L then n
+            else ones (n + 1) (Int64.shift_right_logical z 1)
+          in
+          1 + ones 0 z
+        in
+        let g = Vbl_util.Level_gen.create () in
+        for k = 1 to 10_000 do
+          let l = Vbl_util.Level_gen.next_level g in
+          if l <> expected k then
+            Alcotest.failf "draw %d: height %d, expected %d" k l (expected k)
+        done);
   ]
 
 (* The lock-free skip list has no blocking waits at all, so the explorer
    can cover same-key races too. *)
 let explore_tests =
-  let config =
-    { Vbl_sched.Explore.max_executions = 200_000; preemption_bound = Some 2; max_steps = 5_000 }
-  in
+  let config = { Vbl_sched.Explore.max_executions = 200_000; max_steps = 5_000 } in
   let lin_ok name initial ops =
     Alcotest.test_case ("lockfree-skiplist: " ^ name) `Slow (fun () ->
         let scenario =
@@ -216,7 +235,11 @@ let explore_tests =
             (module Vbl_skiplists.Registry.Lockfree_skip_i)
             ~initial ~ops
         in
-        let r = Vbl_sched.Explore.run ~config scenario in
+        let r =
+          Vbl_sched.Explore.run ~config
+            ~strategy:(Vbl_sched.Explore.Dpor (Vbl_sched.Explore.preempt 2))
+            scenario
+        in
         Alcotest.(check bool) "not truncated" false r.Vbl_sched.Explore.truncated;
         match r.Vbl_sched.Explore.failure with
         | None -> ()
@@ -262,13 +285,15 @@ let range_tests (impl : Vbl_skiplists.Registry.impl) =
   ]
 
 let range_explore_tests =
-  let config =
-    { Vbl_sched.Explore.max_executions = 200_000; preemption_bound = Some 2; max_steps = 5_000 }
-  in
+  let config = { Vbl_sched.Explore.max_executions = 200_000; max_steps = 5_000 } in
   let range_ok name impl initial range ops =
     Alcotest.test_case (name ^ ": range query linearizable") `Slow (fun () ->
         let scenario = Vbl_sched.Drive.explore_range_scenario impl ~initial ~range ~ops in
-        let r = Vbl_sched.Explore.run ~config scenario in
+        let r =
+          Vbl_sched.Explore.run ~config
+            ~strategy:(Vbl_sched.Explore.Dpor (Vbl_sched.Explore.preempt 2))
+            scenario
+        in
         Alcotest.(check bool) "not truncated" false r.Vbl_sched.Explore.truncated;
         match r.Vbl_sched.Explore.failure with
         | None -> ()

@@ -187,9 +187,7 @@ let property_tests impl =
 
 (* Bounded model checking through the generic explorer glue. *)
 let explore_tests =
-  let config =
-    { Vbl_sched.Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
-  in
+  let config = { Vbl_sched.Explore.max_executions = 200_000; max_steps = 5_000 } in
   let lin_ok name impl initial ops =
     Alcotest.test_case (name ^ ": interleavings linearizable") `Slow (fun () ->
         let scenario = Vbl_sched.Drive.explore_scenario impl ~initial ~ops in
@@ -237,9 +235,7 @@ let explore_tests =
    in test_lists_seq.ml).  The two-update scenarios with one thread pin
    what the double-collect does filter. *)
 let range_explore_tests =
-  let config =
-    { Vbl_sched.Explore.max_executions = 200_000; preemption_bound = Some 3; max_steps = 5_000 }
-  in
+  let config = { Vbl_sched.Explore.max_executions = 200_000; max_steps = 5_000 } in
   let range_ok ?(config = config) name impl initial range ops =
     Alcotest.test_case (name ^ ": range query linearizable") `Slow (fun () ->
         let scenario = Vbl_sched.Drive.explore_range_scenario impl ~initial ~range ~ops in
