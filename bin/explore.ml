@@ -1,6 +1,6 @@
 (* explore — bounded model checking of an algorithm from the command line.
 
-     explore -a vbl --ops "insert 1, remove 2" --initial "2" [--preemptions 3]
+     explore -a vbl --ops "insert 1, remove 2" --initial "2"
              [--bound preempt:3|delay:2|none] [--sct random:SEED:ITERS]
              [--shrink] [--analyze] [--dfs] [--stats]
 
@@ -9,17 +9,18 @@
    sigma-bar contains-extension) and structural invariants.  By default the
    explorer uses sleep-set DPOR; --dfs selects the naive brute-force search
    (mainly to measure the reduction), --bound picks the schedule bound the
-   systematic strategies apply (preemption, delay, or none), --sct switches
-   to the randomized swarm scheduler (weights and preemption probabilities
-   re-drawn per run from the seed), --shrink delta-debugs any failing
-   schedule down to a locally minimal counterexample, --analyze attaches
-   the happens-before race detector and lock-discipline linter (and also
-   accepts the seeded mutants from vbl.analysis by name, e.g.
-   vbl-unlocked-unlink), and --stats prints explorer statistics.
+   systematic strategies apply (preemption, delay, or none; preempt:3 by
+   default), --sct switches to the randomized swarm scheduler (weights and
+   preemption probabilities re-drawn per run from the seed), --shrink
+   delta-debugs any failing schedule down to a locally minimal
+   counterexample, --analyze attaches the happens-before race detector and
+   lock-discipline linter (and also accepts the seeded mutants from
+   vbl.analysis by name, e.g. vbl-unlocked-unlink), and --stats prints
+   explorer statistics.
 
    Exit status: 0 all explored executions pass, 1 a violation was found,
    2 malformed command line, rejected before anything runs (unknown -a,
-   unparseable --ops/--initial/--bound/--sct/--preemptions, non-positive
+   unparseable --ops/--initial/--bound/--sct, non-positive
    --max-executions). *)
 
 module Explore = Vbl_sched.Explore
@@ -27,8 +28,8 @@ module Shrink = Vbl_sched.Shrink
 
 let usage =
   "usage: explore [-a ALGO] [--initial \"v1, v2\"] [--ops \"insert 1, remove 2\"]\n\
-  \               [--preemptions N|none] [--bound preempt:N|delay:N|none]\n\
-  \               [--sct random:SEED:ITERS] [--shrink] [--max-executions N]\n\
+  \               [--bound preempt:N|delay:N|none] [--sct random:SEED:ITERS]\n\
+  \               [--shrink] [--max-executions N]\n\
   \               [--analyze] [--dfs] [--stats]"
 
 let bad fmt =
@@ -92,7 +93,6 @@ let () =
   let algo = ref "vbl" in
   let initial = ref "" in
   let ops = ref "insert 1, insert 2" in
-  let preemptions = ref "3" in
   let bound_spec = ref None in
   let sct_spec = ref None in
   let shrink = ref false in
@@ -105,10 +105,9 @@ let () =
       ("-a", Arg.Set_string algo, "algorithm (default vbl)");
       ("--initial", Arg.Set_string initial, "initial values, comma-separated");
       ("--ops", Arg.Set_string ops, "operations, e.g. \"insert 1, remove 2\"");
-      ("--preemptions", Arg.Set_string preemptions, "preemption bound, or 'none'");
       ( "--bound",
         Arg.String (fun s -> bound_spec := Some s),
-        "schedule bound: preempt:N, delay:N, or none (overrides --preemptions)" );
+        "schedule bound: preempt:N, delay:N, or none (default preempt:3)" );
       ( "--sct",
         Arg.String (fun s -> sct_spec := Some s),
         "randomized swarm scheduling: random:SEED:ITERS" );
@@ -125,13 +124,6 @@ let () =
   let impl = find_impl !algo in
   let ops = parse_ops !ops in
   let initial = parse_ints !initial in
-  let preemption_bound =
-    if !preemptions = "none" then Explore.none
-    else
-      match int_of_string_opt !preemptions with
-      | Some n when n >= 0 -> Explore.preempt n
-      | _ -> bad "invalid --preemptions %S (expected a non-negative integer or 'none')" !preemptions
-  in
   if !max_executions < 1 then
     bad "invalid --max-executions %d: the execution cap must be positive" !max_executions;
   let config = { Explore.max_executions = !max_executions; max_steps = 20_000 } in
@@ -145,7 +137,7 @@ let () =
         let b =
           match !bound_spec with
           | Some s -> parse_bound s
-          | None -> preemption_bound
+          | None -> Explore.preempt 3
         in
         if !dfs then Explore.Dfs b else Explore.Dpor b
   in
@@ -155,7 +147,7 @@ let () =
     | None ->
         (match !bound_spec with
         | Some s -> "bound " ^ s
-        | None -> "preemption bound " ^ !preemptions)
+        | None -> "preemption bound 3")
         ^ (if !dfs then ", naive dfs" else ", dpor")
   in
   Format.printf "exploring %s: initial {%s}, ops [%a], %s%s@." !algo

@@ -130,13 +130,14 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     && node_fully_linked succs.(lfound)
     && not (node_marked succs.(lfound))
 
+  (* A predecessor may appear at several consecutive levels; lock/unlock
+     each distinct node once.  A repeat is the node one level down, so
+     the loops compare with [preds.(lvl - 1)] instead of boxing the last
+     node seen. *)
   let unlock_distinct preds highest =
-    let last = ref None in
     for lvl = 0 to highest do
       let p = preds.(lvl) in
-      let same = match !last with Some q -> q == p | None -> false in
-      if not same then M.unlock (node_lock p);
-      last := Some p
+      if not (lvl > 0 && preds.(lvl - 1) == p) then M.unlock (node_lock p)
     done
 
   (* Predecessor locks are taken level-by-level in a loop and released
@@ -165,14 +166,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
         let highest_locked = ref (-1) in
         let valid = ref true in
         let level = ref 0 in
-        let prev_pred = ref None in
         while !valid && !level < top_level do
           let pred = preds.(!level) and succ = succs.(!level) in
-          let same = match !prev_pred with Some q -> q == pred | None -> false in
-          if not same then begin
-            M.lock (node_lock pred);
-            prev_pred := Some pred
-          end;
+          if not (!level > 0 && preds.(!level - 1) == pred) then M.lock (node_lock pred);
           highest_locked := !level;
           (* Relaxed validation: adjacency and a live predecessor only; a
              marked successor is fine (its remover re-routes through us). *)
@@ -232,14 +228,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
       let highest_locked = ref (-1) in
       let valid = ref true in
       let level = ref 0 in
-      let last = ref None in
       while !valid && !level < top_level do
         let pred = preds.(!level) in
-        let same = match !last with Some q -> q == pred | None -> false in
-        if not same then begin
-          M.lock (node_lock pred);
-          last := Some pred
-        end;
+        if not (!level > 0 && preds.(!level - 1) == pred) then M.lock (node_lock pred);
         highest_locked := !level;
         valid := (not (node_marked pred)) && M.get (next_cell pred !level) == !victim;
         incr level

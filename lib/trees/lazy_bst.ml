@@ -20,6 +20,9 @@
 module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let name = "lazy-bst"
 
+  module Probe = Vbl_obs.Probe
+  module C = Vbl_obs.Metrics
+
   type node =
     | Leaf of { value : int M.cell }
     | Router of {
@@ -69,98 +72,123 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let router_deleted = function Router r -> M.get r.deleted | Leaf _ -> assert false
   let leaf_value = function Leaf l -> M.get l.value | Router _ -> assert false
 
-  (* Wait-free descent to the leaf for [v]: (grandparent, parent, leaf). *)
-  let locate t v =
-    let rec go g p l =
-      match l with Leaf _ -> (g, p, l) | Router _ -> go p l (M.get (child_cell l v))
-    in
-    go t.root t.inner (M.get (child_cell t.inner v))
-
   (* Lock [node] and check it is live and still the parent of [expected]
-     for value [v].  [@acquires]: on success the lock is handed to the
-     caller (lint L3 exemption). *)
-  let[@acquires] lock_child_at node v expected =
+     for value [v]; a lock counts once it passes this validation.
+     [@acquires]: on success the lock is handed to the caller (lint L3
+     exemption). *)
+  let[@hot] [@acquires] lock_child_at node v expected =
     M.lock (router_lock node);
-    if (not (router_deleted node)) && M.get (child_cell node v) == expected then true
+    if (not (router_deleted node)) && M.get (child_cell node v) == expected then begin
+      Probe.count C.Lock_acquisitions;
+      true
+    end
     else begin
       M.unlock (router_lock node);
       false
     end
 
+  (* Each operation descends wait-free to the leaf [l] for [v] in a
+     closed top-level recursion that carries the leaf's parent [p] (and,
+     for a remove, its grandparent [g]) as explicit parameters and ends
+     in the update itself, as the lists' walks do, so a descent
+     allocates nothing.  Every descent, restarts
+     included, starts at the inner sentinel with the root as its parent,
+     so [p] and [g] are always routers by the time a leaf is reached.  A
+     descent counts one hop per child slot it reads in a register and
+     flushes the sum in one probe call. *)
+  let[@hot] rec insert_walk t v p l hops =
+    match l with
+    | Router _ -> insert_walk t v l (M.get (child_cell l v)) (hops + 1)
+    | Leaf _ ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        (* Lazy discipline: lock and validate the window first, decide
+           the outcome only under the lock. *)
+        if not (lock_child_at p v l) then begin
+          Probe.count C.Restarts;
+          insert_walk t v t.root t.inner 0
+        end
+        else begin
+          let lv = leaf_value l in
+          if lv = v then begin
+            M.unlock (router_lock p);
+            false
+          end
+          else begin
+            let nl = make_leaf v in
+            M.set (child_cell p v)
+              (if v < lv then make_router lv nl l else make_router v l nl);
+            M.unlock (router_lock p);
+            true
+          end
+        end
+
   let insert t v =
     check_key v;
-    let rec attempt () =
-      let _, p, l = locate t v in
-      (* Lazy discipline: lock and validate the window first, decide the
-         outcome only under the lock. *)
-      if not (lock_child_at p v l) then attempt ()
-      else begin
-        let lv = leaf_value l in
-        if lv = v then begin
+    insert_walk t v t.root t.inner 0
+
+  let[@hot] rec remove_walk t v g p l hops =
+    match l with
+    | Router _ -> remove_walk t v p l (M.get (child_cell l v)) (hops + 1)
+    | Leaf _ ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        if p == t.inner then begin
+          (* Under the never-spliced inner sentinel: replace the leaf with
+             the empty-tree marker if it holds [v]. *)
+          if not (lock_child_at p v l) then remove_restart t v
+          else if leaf_value l <> v then begin
+            M.unlock (router_lock p);
+            false
+          end
+          else begin
+            M.set (child_cell p v) (make_leaf min_int);
+            M.unlock (router_lock p);
+            true
+          end
+        end
+        else if not (lock_child_at g v p) then remove_restart t v
+        else if not (lock_child_at p v l) then begin
+          M.unlock (router_lock g);
+          remove_restart t v
+        end
+        else if leaf_value l <> v then begin
+          (* Absent — discovered only after both windows were locked. *)
           M.unlock (router_lock p);
+          M.unlock (router_lock g);
           false
         end
         else begin
-          let nl = make_leaf v in
-          let small, big, key = if v < lv then (nl, l, lv) else (l, nl, v) in
-          M.set (child_cell p v) (make_router key small big);
+          (* Both ancestors pinned: p cannot be spliced (needs g's lock)
+             and p's children cannot change (needs p's lock). *)
+          let sibling =
+            match p with
+            | Router r -> if v < M.get r.key then M.get r.right else M.get r.left
+            | Leaf _ -> assert false
+          in
+          (match p with Router r -> M.set r.deleted true | Leaf _ -> assert false);
+          M.set (child_cell g v) sibling;
           M.unlock (router_lock p);
+          M.unlock (router_lock g);
           true
         end
-      end
-    in
-    attempt ()
+
+  and[@hot] remove_restart t v =
+    Probe.count C.Restarts;
+    remove_walk t v t.root t.root t.inner 0
 
   let remove t v =
     check_key v;
-    let rec attempt () =
-      let g, p, l = locate t v in
-      if p == t.inner then begin
-        (* Under the never-spliced inner sentinel: replace the leaf with
-           the empty-tree marker if it holds [v]. *)
-        if not (lock_child_at p v l) then attempt ()
-        else if leaf_value l <> v then begin
-          M.unlock (router_lock p);
-          false
-        end
-        else begin
-          M.set (child_cell p v) (make_leaf min_int);
-          M.unlock (router_lock p);
-          true
-        end
-      end
-      else if not (lock_child_at g v p) then attempt ()
-      else if not (lock_child_at p v l) then begin
-        M.unlock (router_lock g);
-        attempt ()
-      end
-      else if leaf_value l <> v then begin
-        (* Absent — discovered only after both windows were locked. *)
-        M.unlock (router_lock p);
-        M.unlock (router_lock g);
-        false
-      end
-      else begin
-        (* Both ancestors pinned: p cannot be spliced (needs g's lock) and
-           p's children cannot change (needs p's lock). *)
-        let sibling =
-          match p with
-          | Router r -> if v < M.get r.key then M.get r.right else M.get r.left
-          | Leaf _ -> assert false
-        in
-        (match p with Router r -> M.set r.deleted true | Leaf _ -> assert false);
-        M.set (child_cell g v) sibling;
-        M.unlock (router_lock p);
-        M.unlock (router_lock g);
-        true
-      end
-    in
-    attempt ()
+    remove_walk t v t.root t.root t.inner 0
+
+  let[@hot] rec contains_walk v l hops =
+    match l with
+    | Router _ -> contains_walk v (M.get (child_cell l v)) (hops + 1)
+    | Leaf _ ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        leaf_value l = v
 
   let contains t v =
     check_key v;
-    let _, _, l = locate t v in
-    leaf_value l = v
+    contains_walk v t.inner 0
 
   (* In-order over the leaves of [lo, hi]: values below a router's key
      route left and the rest right, so a subtree is entered only if it

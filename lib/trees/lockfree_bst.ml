@@ -38,6 +38,9 @@
 module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let name = "lockfree-bst"
 
+  module Probe = Vbl_obs.Probe
+  module C = Vbl_obs.Metrics
+
   type node = Leaf of { value : int } | Internal of internal
 
   and internal = {
@@ -118,15 +121,20 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let c = if node_key old < p.key then p.left else p.right in
     ignore (M.cas c old nw)
 
-  (* Membership: wait-free, allocation-free descent. *)
-  let[@hot] rec contains_walk n v =
+  (* Membership: wait-free, allocation-free descent.  Every descent
+     below counts one hop per child slot it reads in a register and
+     flushes the sum in one probe call, as the list traversals do. *)
+  let[@hot] rec contains_walk n v hops =
     match n with
-    | Leaf l -> l.value = v
-    | Internal i -> contains_walk (M.get (if v < i.key then i.left else i.right)) v
+    | Leaf l ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        l.value = v
+    | Internal i ->
+        contains_walk (M.get (if v < i.key then i.left else i.right)) v (hops + 1)
 
   let contains t v =
     check_key v;
-    contains_walk t.root_node v
+    contains_walk t.root_node v 0
 
   (* Helping.  Descriptor records are created once per attempt, so
      matching them physically before clearing a flag is precise: no
@@ -173,89 +181,112 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
           | _ -> ());
           false
 
-  (* Descent for updates: grandparent, its update, parent, parent as
-     stored node, parent's update, leaf.  Updates are read on the way
-     down, before the corresponding child pointer — the order the
-     flagging CASes rely on. *)
-  let search t v =
-    let rec go gp gpup p pn pup n =
-      match n with
-      | Leaf _ -> (gp, gpup, p, pn, pup, n)
-      | Internal i ->
-          let up = M.get i.update in
-          go p pup i n up (M.get (if v < i.key then i.left else i.right))
-    in
+  (* Update descents: closed top-level recursions with explicit
+     parameters, as the lists' walks do, so no descent allocates.  Each
+     carries the parent [p] of the current node [n] and the [update] it
+     read from [p] (a remove also the grandparent [gp], its update and
+     [p] as the stored node [pn]), and reads a node's update before its
+     child pointer, the order the flagging CASes rely on.  At the leaf it
+     hands over to the update proper, which builds the new nodes and the
+     descriptor; every restart re-enters the walk at the root. *)
+  let[@hot] rec insert_walk t v p pup n hops =
+    match n with
+    | Internal i ->
+        let up = M.get i.update in
+        insert_walk t v i up (M.get (if v < i.key then i.left else i.right)) (hops + 1)
+    | Leaf l ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        if l.value = v then false else replace_leaf t v p pup n
+
+  (* Swing leaf [l] under [p] to a one-key subtree holding [v]. *)
+  and replace_leaf t v p pup l =
+    match pup with
+    | Clean _ ->
+        let lv = node_key l in
+        let nl = make_leaf v in
+        let ni = if v < lv then make_internal lv nl l else make_internal v l nl in
+        let i = { ip = p; il = l; inew = Internal ni } in
+        if M.cas p.update pup (Iflag i) then begin
+          help_replace i;
+          true
+        end
+        else begin
+          help (M.get p.update);
+          insert_restart t v
+        end
+    | st ->
+        help st;
+        insert_restart t v
+
+  and insert_restart t v =
+    Probe.count C.Restarts;
+    insert_attempt t v
+
+  and[@hot] insert_attempt t v =
     let rootup = M.get t.root.update in
-    go t.root rootup t.root t.root_node rootup (M.get t.root.left)
+    insert_walk t v t.root rootup (M.get t.root.left) 1
 
   let insert t v =
     check_key v;
-    let rec attempt () =
-      let _, _, p, _, pup, l = search t v in
-      let lv = node_key l in
-      if lv = v then false
-      else begin
-        match pup with
-        | Clean _ ->
-            let nl = make_leaf v in
-            let small, big, key = if v < lv then (nl, l, lv) else (l, nl, v) in
-            let ni = make_internal key small big in
-            let i = { ip = p; il = l; inew = Internal ni } in
-            if M.cas p.update pup (Iflag i) then begin
-              help_replace i;
-              true
-            end
-            else begin
-              help (M.get p.update);
-              attempt ()
-            end
-        | st ->
-            help st;
-            attempt ()
-      end
-    in
-    attempt ()
+    insert_attempt t v
+
+  let[@hot] rec remove_walk t v gp gpup p pn pup n hops =
+    match n with
+    | Internal i ->
+        let up = M.get i.update in
+        remove_walk t v p pup i n up
+          (M.get (if v < i.key then i.left else i.right))
+          (hops + 1)
+    | Leaf l ->
+        if !Probe.enabled then Probe.add C.Traversal_steps hops;
+        if l.value <> v then false
+        else if p == t.inner then empty_inner t v p pup n
+        else delete_leaf t v gp gpup p pn pup n
+
+  (* Last element: swing the leaf back to the empty marker with a
+     replace-leaf descriptor on the never-removed inner sentinel. *)
+  and empty_inner t v p pup l =
+    match pup with
+    | Clean _ ->
+        let i = { ip = p; il = l; inew = make_leaf min_int } in
+        if M.cas p.update pup (Iflag i) then begin
+          help_replace i;
+          true
+        end
+        else begin
+          help (M.get p.update);
+          remove_restart t v
+        end
+    | st ->
+        help st;
+        remove_restart t v
+
+  and delete_leaf t v gp gpup p pn pup l =
+    match (gpup, pup) with
+    | Clean _, Clean _ ->
+        let d = { dgp = gp; dp = p; dp_node = pn; dl = l; dpup = pup } in
+        if M.cas gp.update gpup (Dflag d) then begin
+          if help_delete d then true else remove_restart t v
+        end
+        else begin
+          help (M.get gp.update);
+          remove_restart t v
+        end
+    | Clean _, st | st, _ ->
+        help st;
+        remove_restart t v
+
+  and remove_restart t v =
+    Probe.count C.Restarts;
+    remove_attempt t v
+
+  and[@hot] remove_attempt t v =
+    let rootup = M.get t.root.update in
+    remove_walk t v t.root rootup t.root t.root_node rootup (M.get t.root.left) 1
 
   let remove t v =
     check_key v;
-    let rec attempt () =
-      let gp, gpup, p, pn, pup, l = search t v in
-      if node_key l <> v then false
-      else if p == t.inner then begin
-        (* Last element: swing the leaf back to the empty marker with a
-           replace-leaf descriptor on the never-removed inner sentinel. *)
-        match pup with
-        | Clean _ ->
-            let i = { ip = p; il = l; inew = make_leaf min_int } in
-            if M.cas p.update pup (Iflag i) then begin
-              help_replace i;
-              true
-            end
-            else begin
-              help (M.get p.update);
-              attempt ()
-            end
-        | st ->
-            help st;
-            attempt ()
-      end
-      else begin
-        match (gpup, pup) with
-        | Clean _, Clean _ ->
-            let d = { dgp = gp; dp = p; dp_node = pn; dl = l; dpup = pup } in
-            if M.cas gp.update gpup (Dflag d) then begin
-              if help_delete d then true else attempt ()
-            end
-            else begin
-              help (M.get gp.update);
-              attempt ()
-            end
-        | Clean _, st | st, _ ->
-            help st;
-            attempt ()
-      end
-    in
-    attempt ()
+    remove_attempt t v
 
   (* In-order over the leaves of [lo, hi]: values below an internal
      node's key route left and the rest right, so a subtree is entered

@@ -67,56 +67,69 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     | Router r -> if v < M.get r.key then r.left else r.right
     | Leaf _ -> assert false
 
-  (* Descend to the leaf for [v], returning (grandparent, parent, leaf).
-     The sentinels guarantee a router parent and grandparent: root.left is
-     always the inner sentinel, so the degenerate case is p = inner. *)
-  let locate t v =
-    let rec go g p l =
-      match l with Leaf _ -> (g, p, l) | Router _ -> go p l (M.get (child_cell l v))
-    in
-    go t.root t.inner (M.get (child_cell t.inner v))
-
   let leaf_value = function Leaf l -> M.get l.value | Router _ -> assert false
+
+  (* Each operation descends to the leaf [l] for [v] in a closed
+     top-level recursion that carries the leaf's parent [p] (and, for a
+     remove, its grandparent [g]) as explicit parameters and ends in the
+     update itself, so a descent allocates nothing.  Every descent
+     starts at the inner sentinel with the root as its parent, so [p]
+     and [g] are always routers by the time a leaf is reached; the
+     degenerate case is [p = inner]. *)
+  let[@hot] rec insert_walk v p l =
+    match l with
+    | Router _ -> insert_walk v l (M.get (child_cell l v))
+    | Leaf _ ->
+        let lv = leaf_value l in
+        if lv = v then false
+        else begin
+          (* Replace leaf [l] with a router over {l, new leaf}. *)
+          let nl = make_leaf v in
+          M.set (child_cell p v)
+            (if v < lv then make_router lv nl l else make_router v l nl);
+          true
+        end
 
   let insert t v =
     check_key v;
-    let _, p, l = locate t v in
-    let lv = leaf_value l in
-    if lv = v then false
-    else begin
-      (* Replace leaf [l] with a router over {l, new leaf}. *)
-      let nl = make_leaf v in
-      let small, big, key = if v < lv then (nl, l, lv) else (l, nl, v) in
-      M.set (child_cell p v) (make_router key small big);
-      true
-    end
+    insert_walk v t.root t.inner
+
+  let[@hot] rec remove_walk t v g p l =
+    match l with
+    | Router _ -> remove_walk t v p l (M.get (child_cell l v))
+    | Leaf _ ->
+        if leaf_value l <> v then false
+        else if p == t.inner then begin
+          (* The last real leaf sits directly under the inner sentinel,
+             which must never be spliced: put back the empty-tree marker
+             instead. *)
+          M.set (child_cell p v) (make_leaf min_int);
+          true
+        end
+        else begin
+          (* Splice out parent [p]: its other child replaces it under [g]. *)
+          let sibling =
+            match p with
+            | Router r -> if v < M.get r.key then M.get r.right else M.get r.left
+            | Leaf _ -> assert false
+          in
+          (match p with Router r -> M.set r.deleted true | Leaf _ -> assert false);
+          M.set (child_cell g v) sibling;
+          true
+        end
 
   let remove t v =
     check_key v;
-    let g, p, l = locate t v in
-    if leaf_value l <> v then false
-    else if p == t.inner then begin
-      (* The last real leaf sits directly under the inner sentinel, which
-         must never be spliced: put back the empty-tree marker instead. *)
-      M.set (child_cell p v) (make_leaf min_int);
-      true
-    end
-    else begin
-      (* Splice out parent [p]: its other child replaces it under [g]. *)
-      let sibling =
-        match p with
-        | Router r -> if v < M.get r.key then M.get r.right else M.get r.left
-        | Leaf _ -> assert false
-      in
-      (match p with Router r -> M.set r.deleted true | Leaf _ -> assert false);
-      M.set (child_cell g v) sibling;
-      true
-    end
+    remove_walk t v t.root t.root t.inner
+
+  let[@hot] rec contains_walk v l =
+    match l with
+    | Router _ -> contains_walk v (M.get (child_cell l v))
+    | Leaf _ -> leaf_value l = v
 
   let contains t v =
     check_key v;
-    let _, _, l = locate t v in
-    leaf_value l = v
+    contains_walk v t.inner
 
   (* In-order over the leaves of [lo, hi]: values below a router's key
      route left and the rest right, so a subtree is entered only if it

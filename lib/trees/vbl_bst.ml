@@ -116,87 +116,89 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     check_key v;
     contains_walk t.root v 0
 
-  type where =
-    | Found of node * node  (** parent, node with the key *)
-    | Missing of node * int  (** node we fell off, its version *)
+  (* Update descents: closed top-level recursions with explicit
+     parameters that end in the update itself, as the lists' walks do,
+     so an update allocates nothing but the node it links.  Every restart
+     re-enters its walk at [t.root].  Falling off at [n] records a
+     seqlock-style window: read [n.ver], then re-check the slot is still
+     empty — a later [n.ver = s] comparison under [n]'s tree lock then
+     certifies the slot stayed empty from the re-check to the lock
+     acquisition.  The walks are only ever handed nodes, never [Nil]. *)
+  let[@hot] rec insert_walk t v n hops =
+    match n with
+    | Nil -> assert false
+    | Node r -> (
+        if v = r.key then begin
+          if !Probe.enabled then Probe.add C.Traversal_steps hops;
+          revive t v n
+        end
+        else
+          let c = if v < r.key then r.left else r.right in
+          match M.get c with
+          | Node _ as m -> insert_walk t v m (hops + 1)
+          | Nil -> (
+              let s = M.get r.ver in
+              match M.get c with
+              | Node _ as m -> insert_walk t v m (hops + 1)
+              | Nil ->
+                  if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
+                  link t v n s))
 
-  (* Update descent.  Falling off at [n] records a seqlock-style window:
-     read [n.ver], then re-check the slot is still empty — a later
-     [n.ver = s] comparison under [n]'s tree lock then certifies the
-     slot stayed empty from the re-check to the lock acquisition.  Both
-     results carry nodes, never [Nil]. *)
-  let locate t v =
-    let rec go p n hops =
-      match n with
-      | Nil -> assert false (* [go] is only handed nodes *)
-      | Node r -> (
-          if v = r.key then begin
-            if !Probe.enabled then Probe.add C.Traversal_steps hops;
-            Found (p, n)
+  (* [node] holds the key: a live one refuses without a lock; a deleted
+     routing node is revived under its state lock — deletion by state
+     flag makes this a one-flag write. *)
+  and[@hot] revive t v node =
+    match node with
+    | Nil -> assert false
+    | Node n ->
+        if not (M.get n.deleted) then false (* present: no lock ever taken *)
+        else begin
+          M.lock n.slock;
+          if M.get n.unlinked then begin
+            M.unlock n.slock;
+            Probe.count C.Restarts;
+            insert_walk t v t.root 0
           end
-          else
-            let c = if v < r.key then r.left else r.right in
-            match M.get c with
-            | Node _ as m -> go n m (hops + 1)
-            | Nil -> (
-                let s = M.get r.ver in
-                match M.get c with
-                | Node _ as m -> go n m (hops + 1)
-                | Nil ->
-                    if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
-                    Missing (n, s)))
-    in
-    go t.root t.root 0
+          else begin
+            Probe.count C.Lock_acquisitions;
+            if M.get n.deleted then begin
+              M.set n.deleted false;
+              M.unlock n.slock;
+              true
+            end
+            else begin
+              M.unlock n.slock;
+              false
+            end
+          end
+        end
+
+  (* The descent fell off [parent] after reading its version [s]. *)
+  and[@hot] link t v parent s =
+    match parent with
+    | Nil -> assert false
+    | Node p ->
+        let x = make_node v in
+        M.lock p.tlock;
+        (* Version-only window validation: no pointer identity check is
+           needed (or taken) — [ver] unchanged means no link or splice
+           touched [p]'s children since the descent's empty re-check. *)
+        if (not (M.get p.unlinked)) && M.get p.ver = s then begin
+          Probe.count C.Lock_acquisitions;
+          M.set (if v < p.key then p.left else p.right) x;
+          M.set p.ver (s + 1);
+          M.unlock p.tlock;
+          true
+        end
+        else begin
+          M.unlock p.tlock;
+          Probe.count C.Restarts;
+          insert_walk t v t.root 0
+        end
 
   let insert t v =
     check_key v;
-    let rec attempt () =
-      match locate t v with
-      | Found (_, Node n) ->
-          if not (M.get n.deleted) then false (* present: no lock ever taken *)
-          else begin
-            (* Revive the routing node under its state lock — deletion by
-               state flag makes this a one-flag write. *)
-            M.lock n.slock;
-            if M.get n.unlinked then begin
-              M.unlock n.slock;
-              Probe.count C.Restarts;
-              attempt ()
-            end
-            else begin
-              Probe.count C.Lock_acquisitions;
-              if M.get n.deleted then begin
-                M.set n.deleted false;
-                M.unlock n.slock;
-                true
-              end
-              else begin
-                M.unlock n.slock;
-                false
-              end
-            end
-          end
-      | Missing (Node p, s) ->
-          let x = make_node v in
-          M.lock p.tlock;
-          (* Version-only window validation: no pointer identity check is
-             needed (or taken) — [ver] unchanged means no link or splice
-             touched [p]'s children since the descent's empty re-check. *)
-          if (not (M.get p.unlinked)) && M.get p.ver = s then begin
-            Probe.count C.Lock_acquisitions;
-            M.set (if v < p.key then p.left else p.right) x;
-            M.set p.ver (s + 1);
-            M.unlock p.tlock;
-            true
-          end
-          else begin
-            M.unlock p.tlock;
-            Probe.count C.Restarts;
-            attempt ()
-          end
-      | Found (_, Nil) | Missing (Nil, _) -> assert false
-    in
-    attempt ()
+    insert_walk t v t.root 0
 
   (* One opportunistic physical-unlink attempt after a logical remove.
      Lock order: victim state lock, then parent tree lock, then victim
@@ -232,38 +234,61 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
         M.unlock n.slock
     | _ -> assert false
 
-  let remove t v =
-    check_key v;
-    let rec attempt () =
-      match locate t v with
-      | Missing _ -> false (* absent: no lock ever taken *)
-      | Found (p, (Node n as victim)) ->
-          if M.get n.deleted then false (* already absent: still lock-free *)
+  (* A remove reads the window where it falls off exactly as an insert
+     does, so both descents make the same accesses; it has no use for
+     the version and returns absent without a lock. *)
+  let[@hot] rec remove_walk t v parent n hops =
+    match n with
+    | Nil -> assert false
+    | Node r -> (
+        if v = r.key then begin
+          if !Probe.enabled then Probe.add C.Traversal_steps hops;
+          delete t v parent n
+        end
+        else
+          let c = if v < r.key then r.left else r.right in
+          match M.get c with
+          | Node _ as m -> remove_walk t v n m (hops + 1)
+          | Nil -> (
+              ignore (M.get r.ver : int);
+              match M.get c with
+              | Node _ as m -> remove_walk t v n m (hops + 1)
+              | Nil ->
+                  if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
+                  false))
+
+  (* [victim] holds the key under [parent]. *)
+  and[@hot] delete t v parent victim =
+    match victim with
+    | Nil -> assert false
+    | Node n ->
+        if M.get n.deleted then false (* already absent: still lock-free *)
+        else begin
+          M.lock n.slock;
+          if M.get n.unlinked then begin
+            M.unlock n.slock;
+            Probe.count C.Restarts;
+            remove_walk t v t.root t.root 0
+          end
           else begin
-            M.lock n.slock;
-            if M.get n.unlinked then begin
+            Probe.count C.Lock_acquisitions;
+            if M.get n.deleted then begin
               M.unlock n.slock;
-              Probe.count C.Restarts;
-              attempt ()
+              false
             end
             else begin
-              Probe.count C.Lock_acquisitions;
-              if M.get n.deleted then begin
-                M.unlock n.slock;
-                false
-              end
-              else begin
-                M.set n.deleted true;
-                (* linearization point *)
-                M.unlock n.slock;
-                cleanup p victim;
-                true
-              end
+              M.set n.deleted true;
+              (* linearization point *)
+              M.unlock n.slock;
+              cleanup parent victim;
+              true
             end
           end
-      | Found (_, Nil) -> assert false
-    in
-    attempt ()
+        end
+
+  let remove t v =
+    check_key v;
+    remove_walk t v t.root t.root 0
 
   (* In-order over the live keys of [lo, hi]: a subtree is entered only
      if its key range can meet the window (keys left of [n] are below

@@ -622,41 +622,118 @@ let bst_fixed_tree_test =
         ];
       Alcotest.(check (list int)) "contents" [ 2; 3; 4; 5; 6 ] (S.to_list t))
 
-(* Two inserts fall off the same empty slot of the root sentinel; the
-   one that links second finds [rt.ver] moved under the lock, restarts
-   once, and links under the first.  T1 stops at new(N2) — after its
-   descent, before its lock — while T0 runs to completion. *)
+(* lazy-bst and lockfree-bst count hops the same way, on the same fixed
+   tree in their external shape (keys in the leaves; a router per
+   insert).  lazy-bst descends from its inner sentinel, lockfree-bst
+   from the root, whose left slot it reads first: one more hop per
+   descent.  lazy-bst locks before it decides, so its failed updates
+   take locks; lockfree-bst takes none. *)
+let external_bst_fixed_tree_test name (module S : Vbl_lists.Set_intf.S) expected =
+  Alcotest.test_case (name ^ ": exact counts on a fixed tree") `Quick (fun () ->
+      (*          inner
+                  /
+                R4
+               /  \
+             R2    R6
+            /  \   / \
+          R1   R3 4   6
+          / \  / \
+        min 1 2   3     *)
+      let t = S.create () in
+      List.iter (fun v -> ignore (S.insert t v)) [ 4; 2; 6; 1; 3 ];
+      List.iter2
+        (fun (what, f) expected ->
+          Alcotest.(check (triple int int int))
+            (what ^ ": hops, lock acquisitions, restarts")
+            expected (bst_probe_counts f))
+        [
+          ("contains 3", fun () -> S.contains t 3);
+          ("contains 5 (absent)", fun () -> S.contains t 5);
+          ("insert 4 (present)", fun () -> S.insert t 4);
+          ("remove 7 (absent)", fun () -> S.remove t 7);
+          ("insert 5 (router over 4 and 5)", fun () -> S.insert t 5);
+          ("remove 1 (its router spliced)", fun () -> S.remove t 1);
+          ("contains 1", fun () -> S.contains t 1);
+        ]
+        expected;
+      Alcotest.(check (list int)) "contents" [ 2; 3; 4; 5; 6 ] (S.to_list t))
+
+let lazy_bst_fixed_tree_test =
+  external_bst_fixed_tree_test "lazy-bst"
+    (module Vbl_trees.Registry.Lazy_bst_impl)
+    [ (4, 0, 0); (3, 0, 0); (3, 1, 0); (3, 2, 0); (3, 1, 0); (4, 2, 0); (3, 0, 0) ]
+
+let lockfree_bst_fixed_tree_test =
+  external_bst_fixed_tree_test "lockfree-bst"
+    (module Vbl_trees.Registry.Lockfree_bst_impl)
+    [ (5, 0, 0); (4, 0, 0); (4, 0, 0); (4, 0, 0); (4, 0, 0); (5, 0, 0); (4, 0, 0) ]
+
+(* Two inserts race for the one empty slot of a fresh tree: T1 runs its
+   descent up to the first access that [stop] names — after the
+   descent, before its update — while T0 runs to completion.  T1's
+   window has then moved: it restarts once and links under T0's node.
+   Returns the summed hops, validated lock acquisitions and restarts. *)
+let bst_forced_restart (module S : Vbl_lists.Set_intf.S) ~stop =
+  let t = Instr.run_sequential S.create in
+  let counts =
+    bst_probe_counts (fun () ->
+        let exec =
+          Exec.create [ (fun () -> ignore (S.insert t 1)); (fun () -> ignore (S.insert t 2)) ]
+        in
+        let rec advance_t1 () =
+          match Exec.pending exec 1 with
+          | Exec.Access a when stop a -> ()
+          | Exec.Access _ ->
+              Exec.step exec 1;
+              advance_t1 ()
+          | _ -> Alcotest.fail "insert(2) finished or blocked before its update"
+        in
+        advance_t1 ();
+        while Exec.pending exec 0 <> Exec.Done do
+          Exec.step exec 0
+        done;
+        Exec.drain exec;
+        true)
+  in
+  Alcotest.(check (list int)) "both linked" [ 1; 2 ]
+    (Instr.run_sequential (fun () -> S.to_list t));
+  counts
+
+(* vbl-bst: both inserts fall off the root sentinel's empty left slot;
+   T1 stops at new(N2), and the link finds [rt.ver] moved under the
+   lock. *)
 let bst_forced_restart_test =
   Alcotest.test_case "vbl-bst: a moved window version restarts the insert" `Quick
     (fun () ->
-      let module S = Vbl_trees.Registry.Vbl_bst_i in
-      let t = Instr.run_sequential S.create in
       let hops, acquisitions, restarts =
-        bst_probe_counts (fun () ->
-            let exec =
-              Exec.create
-                [ (fun () -> ignore (S.insert t 1)); (fun () -> ignore (S.insert t 2)) ]
-            in
-            let rec advance_t1 () =
-              match Exec.pending exec 1 with
-              | Exec.Access a when a.Instr.name = "N2" && a.Instr.kind = Instr.New_node -> ()
-              | Exec.Access _ ->
-                  Exec.step exec 1;
-                  advance_t1 ()
-              | _ -> Alcotest.fail "insert(2) finished or blocked before new(N2)"
-            in
-            advance_t1 ();
-            while Exec.pending exec 0 <> Exec.Done do
-              Exec.step exec 0
-            done;
-            Exec.drain exec;
-            true)
+        bst_forced_restart
+          (module Vbl_trees.Registry.Vbl_bst_i)
+          ~stop:(fun a -> a.Instr.name = "N2" && a.Instr.kind = Instr.New_node)
       in
       Alcotest.(check int) "hops: 1 + 1, then 2 after the restart" 4 hops;
       Alcotest.(check int) "one validated link each" 2 acquisitions;
-      Alcotest.(check int) "one restart" 1 restarts;
-      Alcotest.(check (list int)) "both linked" [ 1; 2 ]
-        (Instr.run_sequential (fun () -> S.to_list t)))
+      Alcotest.(check int) "one restart" 1 restarts)
+
+(* lazy-bst: T1 stops at its lock on the inner sentinel, and validates a
+   child that T0 has replaced by a router. *)
+let lazy_bst_forced_restart_test =
+  Alcotest.test_case "lazy-bst: a replaced leaf restarts the insert" `Quick (fun () ->
+      Alcotest.(check (triple int int int))
+        "hops (1 + 1, then 2), one validated lock each, one restart" (4, 2, 1)
+        (bst_forced_restart
+           (module Vbl_trees.Registry.Lazy_bst_i)
+           ~stop:(fun a -> a.Instr.kind = Instr.Lock_try)))
+
+(* lockfree-bst: T1 stops at its flagging CAS on the inner sentinel,
+   whose clean stamp T0's unflag has replaced. *)
+let lockfree_bst_forced_restart_test =
+  Alcotest.test_case "lockfree-bst: a moved clean stamp restarts the insert" `Quick
+    (fun () ->
+      Alcotest.(check (triple int int int))
+        "hops (2 + 2, then 3), no locks, one restart" (7, 0, 1)
+        (bst_forced_restart
+           (module Vbl_trees.Registry.Lockfree_bst_i)
+           ~stop:(fun a -> a.Instr.kind = Instr.Cas)))
 
 (* The conductor emits one trace event per executed step when a tracer
    is installed. *)
@@ -692,6 +769,10 @@ let () =
           forced_contention_test;
           bst_fixed_tree_test;
           bst_forced_restart_test;
+          lazy_bst_fixed_tree_test;
+          lazy_bst_forced_restart_test;
+          lockfree_bst_fixed_tree_test;
+          lockfree_bst_forced_restart_test;
           exec_trace_test;
         ] );
     ]
