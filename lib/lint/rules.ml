@@ -442,7 +442,9 @@ let l6_check ctx vb =
           | _ ->
               go f;
               List.iter (fun (_, a) -> go a) args;
-              (match path with [ _; ("set" | "cas") ] -> unlink_seen := true | _ -> ()))
+              match path with
+              | [ _; ("set" | "cas" | "set_link" | "cas_link") ] -> unlink_seen := true
+              | _ -> ())
       | Pexp_let (_, vbs, body) ->
           List.iter
             (fun b ->
@@ -487,13 +489,14 @@ let l6_check ctx vb =
 (* ------------------------------------------------------------------ *)
 
 (* Once a node is published — its name appears in the stored value of an
-   [M.set]/[M.cas], or its [version] field is bumped — writing a direct
-   field cell of it with a non-constant value is a finding: other
+   [M.set]/[M.cas] or of their [_link] forms, or its [version] field is
+   bumped — writing a direct field cell of it ([n.field]) or its link
+   ([M.set_link x ...]) with a non-constant value is a finding: other
    threads can already reach the node, so initialization came too late.
    Constant stores ([M.set n.fully_linked true]) are the deliberate
-   post-publish flag idiom and stay exempt.  Cells reached through
-   accessor helpers ([next_cell_exn prev]) are list surgery on already
-   reachable nodes, never initialization, so only direct [n.field] cells
+   post-publish flag idiom and stay exempt.  Cells and links reached
+   through accessor or guard helpers ([linked prev]) are list surgery on
+   already reachable nodes, never initialization, so only direct ones
    can violate.  [match x with Node n -> ...] aliases [n] to [x]. *)
 let l7_check ctx vb =
   if is_function_expr vb.pvb_expr then begin
@@ -550,13 +553,20 @@ let l7_check ctx vb =
           List.iter (fun b -> Hashtbl.replace alias b root) (binders arg)
       | _ -> ()
     in
-    let handle_store cell v loc =
-      let field_cell =
-        match cell.pexp_desc with
-        | Pexp_field ({ pexp_desc = Pexp_ident { txt = Lident n; _ }; _ }, { txt = fld; _ }) ->
-            Some (resolve_root n, (match List.rev (flatten fld) with f :: _ -> f | [] -> ""))
-        | _ -> None
-      in
+    let field_of cell =
+      match cell.pexp_desc with
+      | Pexp_field ({ pexp_desc = Pexp_ident { txt = Lident n; _ }; _ }, { txt = fld; _ }) ->
+          Some (resolve_root n, (match List.rev (flatten fld) with f :: _ -> f | [] -> ""))
+      | _ -> None
+    in
+    (* A link store names its node; a guard or accessor around the node
+       ([linked prev]) is surgery on a reachable node, like [next_of]. *)
+    let link_of node =
+      match node.pexp_desc with
+      | Pexp_ident { txt = Lident n; _ } -> Some (resolve_root n, "link")
+      | _ -> None
+    in
+    let handle_store field_cell v loc =
       (* Violation: non-constant store to a field of an already published root. *)
       (match field_cell with
       | Some (root, fld) when not (is_const v) -> (
@@ -597,8 +607,12 @@ let l7_check ctx vb =
             match f.pexp_desc with Pexp_ident { txt; _ } -> flatten txt | _ -> []
           in
           match (path, args) with
-          | [ _; "set" ], [ (_, cell); (_, v) ] -> handle_store cell v e.pexp_loc
-          | [ _; "cas" ], [ (_, cell); _; (_, v) ] -> handle_store cell v e.pexp_loc
+          | [ _; "set" ], [ (_, cell); (_, v) ] -> handle_store (field_of cell) v e.pexp_loc
+          | [ _; "cas" ], [ (_, cell); _; (_, v) ] -> handle_store (field_of cell) v e.pexp_loc
+          | [ _; "set_link" ], [ (_, node); _; (_, v) ] ->
+              handle_store (link_of node) v e.pexp_loc
+          | [ _; "cas_link" ], [ (_, node); _; _; (_, v) ] ->
+              handle_store (link_of node) v e.pexp_loc
           | _ -> ())
       | Pexp_let (_, vbs, body) ->
           List.iter
@@ -700,6 +714,38 @@ let l5_reachability ctx =
               fn.Summaries.fn_derefs
         end)
       (Summaries.fns s)
+
+(* ------------------------------------------------------------------ *)
+(* L1 on record declarations                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A field of type [_ M.link] (any single-module qualifier). *)
+let is_link (l : label_declaration) =
+  match l.pld_type.ptyp_desc with
+  | Ptyp_constr ({ txt = Ldot (Lident _, "link"); _ }, [ _ ]) -> true
+  | _ -> false
+
+(* The fields of one record or inline record: no mutable field, and at
+   most one link, in first position (the real backends reach it as
+   field 0 of the node's block). *)
+let l1_labels ctx labels =
+  List.iteri
+    (fun i l ->
+      if l.pld_mutable = Asttypes.Mutable then
+        report ctx Finding.L1 l.pld_loc
+          (Printf.sprintf "mutable record field '%s' (shared state must be an M.cell)"
+             l.pld_name.txt);
+      if is_link l && i > 0 then
+        report ctx Finding.L1 l.pld_loc
+          (if List.exists is_link (List.filteri (fun j _ -> j < i) labels) then
+             Printf.sprintf "second link '%s' in one record (a node has one successor link)"
+               l.pld_name.txt
+           else
+             Printf.sprintf
+               "link field '%s' is not the record's first field (the real backends read \
+                field 0)"
+               l.pld_name.txt))
+    labels
 
 (* ------------------------------------------------------------------ *)
 (* The traversal                                                       *)
@@ -855,15 +901,14 @@ let file ?(summaries = Summaries.empty) ~rules ~file:fname (str : structure) : F
                 List.iter
                   (fun d ->
                     match d.ptype_kind with
-                    | Ptype_record labels ->
+                    | Ptype_record labels -> l1_labels ctx labels
+                    | Ptype_variant cds ->
                         List.iter
-                          (fun l ->
-                            if l.pld_mutable = Asttypes.Mutable then
-                              report ctx Finding.L1 l.pld_loc
-                                (Printf.sprintf
-                                   "mutable record field '%s' (shared state must be an M.cell)"
-                                   l.pld_name.txt))
-                          labels
+                          (fun cd ->
+                            match cd.pcd_args with
+                            | Pcstr_record labels -> l1_labels ctx labels
+                            | Pcstr_tuple _ -> ())
+                          cds
                     | _ -> ())
                   decls;
               default.structure_item it si

@@ -7,7 +7,10 @@
     identifier path containing [Atomic] or [Mutex] (local [module X = Atomic]
     aliases are resolved, chained aliases included); [open]/[include] of
     those modules (after which raw uses would be invisible, so the open
-    itself is the finding); mutable record fields in type declarations;
+    itself is the finding); mutable fields in record and inline-record
+    declarations; a field of type [_ M.link] that is not the first field
+    of its record or inline record, or a second one in the same record
+    (the real backends reach a link as field 0 of its node's block);
     record-field assignment [e.f <- v]; and [ref] allocations that escape a
     local [let x = ref e] binder.  Allowed: [let]-bound local refs, [!], [:=]
     and array element writes — the thread-local temporary idiom of the
@@ -53,7 +56,8 @@
     Two parts.  (a) Bracket balance per function body, with exactly L3's
     branch/loop/exit machinery applied to [op_enter]/[op_exit].  (b)
     Reachability through the {!Summaries} call graph: a dereference
-    ([M.get]/[M.set]/[M.cas]/lock ops/[M.retire]/[M.recycle]) or a call to
+    ([M.get]/[M.set]/[M.cas], their [_link] forms, lock ops,
+    [M.retire]/[M.recycle]) or a call to
     a function that transitively dereferences is a finding when it sits in
     an {e unprotected} function outside a bracket and outside the
     unreclaiming arm of an [if M.reclaiming].  Helpers reached only from
@@ -69,23 +73,25 @@
     since the node may already be recycled by a concurrent insert.  A
     retire of a value the function did not bind locally (a parameter or
     helper result, i.e. a node that was reachable) must be preceded by an
-    unlinking [M.set]/[M.cas] earlier in the walk.  The walk threads
+    unlinking [M.set]/[M.cas] (or [M.set_link]/[M.cas_link]) earlier in
+    the walk.  The walk threads
     if/match arms in statement order (path-insensitive: an arm's poison
     flows into the sibling text that follows it — sound for the
     straight-line unlink-then-retire idiom the lists use).
 
     {b L7 — publish-before-reachable.}  Within a function, once a node is
     {e published} — its name occurs in the value stored by an
-    [M.set]/[M.cas], or its [version] field is bumped (the versioned
-    lists' publication witness) — a non-constant store to a direct field
-    cell [n.field] of it is a finding: every cell of a fresh or
+    [M.set]/[M.cas]/[M.set_link]/[M.cas_link], or its [version] field is
+    bumped (the versioned lists' publication witness) — a non-constant
+    store to a direct field cell [n.field] of it, or to its link
+    ([M.set_link n ...]), is a finding: every cell of a fresh or
     [recycle]d node must be written before other threads can reach it.
     This is the rule that catches the PR 6 vbl_versioned
     version-before-next bug shape statically.  Constant stores
     ([M.set n.fully_linked true]) are the deliberate post-publish flag
-    idiom and stay exempt; cells reached through accessor helpers
-    ([next_cell_exn prev]) are surgery on already-reachable nodes and
-    only count as publish sites, never violations. *)
+    idiom and stay exempt; cells and links reached through accessor or
+    guard helpers ([linked prev]) are surgery on already-reachable nodes
+    and only count as publish sites, never violations. *)
 
 val file :
   ?summaries:Summaries.file_info ->

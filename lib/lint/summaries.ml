@@ -55,7 +55,20 @@ let pos_of (loc : Location.t) =
    Allocation ([make], [make_lock], [make_pool], ...) and the bracket
    operations themselves are deliberately absent. *)
 let deref_ops =
-  [ "get"; "set"; "cas"; "lock"; "unlock"; "try_lock"; "lock_held"; "retire"; "recycle" ]
+  [
+    "get";
+    "set";
+    "cas";
+    "get_link";
+    "set_link";
+    "cas_link";
+    "lock";
+    "unlock";
+    "try_lock";
+    "lock_held";
+    "retire";
+    "recycle";
+  ]
 
 let has_attr name attrs = List.exists (fun a -> String.equal a.attr_name.txt name) attrs
 

@@ -16,13 +16,22 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let line = M.fresh_line () in
     { lock = M.make_lock ~name:"global.lock" ~line (); inner = Seq.create () }
 
-  let critical t f =
+  (* [op inner x] under the global lock, released on the return and the
+     exception path alike.  [op] is a top-level function, so an update
+     or [contains] builds no closure. *)
+  let critical t op x =
     M.lock t.lock;
-    Fun.protect ~finally:(fun () -> M.unlock t.lock) f
+    match op t.inner x with
+    | r ->
+        M.unlock t.lock;
+        r
+    | exception e ->
+        M.unlock t.lock;
+        raise e
 
-  let insert t v = critical t (fun () -> Seq.insert t.inner v)
-  let remove t v = critical t (fun () -> Seq.remove t.inner v)
-  let contains t v = critical t (fun () -> Seq.contains t.inner v)
+  let insert t v = critical t Seq.insert v
+  let remove t v = critical t Seq.remove v
+  let contains t v = critical t Seq.contains v
   let to_list t = Seq.to_list t.inner
   let size t = Seq.size t.inner
   let check_invariants t = Seq.check_invariants t.inner
@@ -31,12 +40,12 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
      mid-update states), and coarse is the zero-concurrency anchor, so
      fold/iter and the derived approx_size take the global lock like
      everything else. *)
-  let fold f init t = critical t (fun () -> Seq.fold f init t.inner)
-  let iter f t = critical t (fun () -> Seq.iter f t.inner)
+  let fold f init t = critical t (fun inner init -> Seq.fold f init inner) init
+  let iter f t = critical t (fun inner f -> Seq.iter f inner) f
 
   (* A single collection under the global lock is a true snapshot, so
      this is the one list family member whose range_query is genuinely
      linearizable (Set_intf.Derive's double-collect certifies nothing). *)
-  let range_query t lo hi = critical t (fun () -> Seq.range_query t.inner lo hi)
-  let approx_size t = critical t (fun () -> Seq.approx_size t.inner)
+  let range_query t lo hi = critical t (fun inner lo -> Seq.range_query inner lo hi) lo
+  let approx_size t = critical t (fun inner () -> Seq.approx_size inner) ()
 end

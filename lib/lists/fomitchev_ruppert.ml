@@ -30,7 +30,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "fomitchev-ruppert"
 
   type node =
-    | Node of { key : int M.cell; succ : link M.cell; backlink : node M.cell }
+    | Node of { succ : link M.link; key : int M.cell; backlink : node M.cell }
     | Tail of { key : int M.cell }
 
   and link = Live of node | Marked of node | Flagged of node
@@ -38,14 +38,19 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   type t = { head : node }
 
   let node_key = function Node n -> M.get n.key | Tail n -> M.get n.key
-  let succ_cell_exn = function Node n -> n.succ | Tail _ -> assert false
+  (* The successor field is each [Node]'s first field, an [M.link]; the
+     tail has none, so every link access checks its node with [linked]. *)
+  let succ_of = function Node n -> n.succ | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   let right node =
-    match M.get (succ_cell_exn node) with Live s | Marked s | Flagged s -> s
+    match M.get_link (linked node) succ_of with Live s | Marked s | Flagged s -> s
 
-  let is_marked = function
+  let is_marked node =
+    match node with
     | Tail _ -> false
-    | Node n -> ( match M.get n.succ with Marked _ -> true | Live _ | Flagged _ -> false)
+    | Node _ -> (
+        match M.get_link node succ_of with Marked _ -> true | Live _ | Flagged _ -> false)
 
   let set_backlink node target =
     match node with
@@ -56,17 +61,19 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     | Node n -> M.get n.backlink
     | Tail _ -> assert false
 
+  (* A node's cells are made backlink first and key last, the order the
+     instrumented backends number their shadows in. *)
+  let build nm ~line key next back =
+    let backlink = M.field nm ".back" ~line back in
+    let succ = M.link nm ".next" ~line (Live next) in
+    Node { succ; key = M.field nm ".val" ~line key; backlink }
+
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node key next back =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node key else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        key = M.field nm ".val" ~line key;
-        succ = M.field nm ".next" ~line (Live next);
-        backlink = M.field nm ".back" ~line back;
-      }
+    build nm ~line key next back
 
   let create () =
     let tl = M.fresh_line () in
@@ -74,15 +81,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail = Tail { key = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          key = M.field hn ".val" ~line:hl min_int;
-          succ = M.field hn ".next" ~line:hl (Live tail);
-          (* The head is never marked, so its backlink is never followed. *)
-          backlink = M.field hn ".back" ~line:hl tail;
-        }
-    in
+    (* The head is never marked, so its backlink is never followed. *)
+    let head = build hn ~line:hl min_int tail tail in
     { head }
 
   let check_key v =
@@ -97,11 +97,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let rec try_mark del =
     match del with
     | Tail _ -> assert false (* sentinels are never deleted *)
-    | Node n -> (
-        match M.get n.succ with
+    | Node _ -> (
+        match M.get_link del succ_of with
         | Marked _ -> ()
         | Live next as witness ->
-            if M.cas n.succ witness (Marked next) then () else try_mark del
+            if M.cas_link del succ_of witness (Marked next) then () else try_mark del
         | Flagged next as fl ->
             (* del is itself mid-deleting its successor; help it first. *)
             help_flagged del fl next;
@@ -114,7 +114,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     set_backlink del prev;
     if not (is_marked del) then try_mark del;
     let next = right del in
-    ignore (M.cas (succ_cell_exn prev) prev_link (Live next))
+    ignore (M.cas_link (linked prev) succ_of prev_link (Live next))
 
   (* Traversal: find (curr, next) with [below curr.key k] and not
      [below next.key k].  [below] is [<=] for membership/insertion and [<]
@@ -127,7 +127,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let search_from ~below k start =
     let rec loop curr next =
       if below (node_key next) k then begin
-        match M.get (succ_cell_exn curr) with
+        match M.get_link (linked curr) succ_of with
         | Flagged s as fl when s == next && is_marked next ->
             help_flagged curr fl next;
             loop curr (right curr)
@@ -144,10 +144,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
      [Some (prev, false)] — another deleter holds the flag; [None] — the
      target is gone. *)
   let rec try_flag t prev target k =
-    match M.get (succ_cell_exn prev) with
+    match M.get_link (linked prev) succ_of with
     | Flagged s when s == target -> Some (prev, false)
     | Live s as witness when s == target ->
-        if M.cas (succ_cell_exn prev) witness (Flagged target) then Some (prev, true)
+        if M.cas_link (linked prev) succ_of witness (Flagged target) then Some (prev, true)
         else try_flag t prev target k
     | Flagged s as fl ->
         (* prev is deleting some other successor; help and retry. *)
@@ -167,14 +167,14 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         try_link x prev next
       end
     and try_link x prev next =
-      match M.get (succ_cell_exn prev) with
+      match M.get_link (linked prev) succ_of with
       | Flagged s as fl ->
           help_flagged prev fl s;
           re_search x prev
       | Marked _ -> re_search x (live_pred prev)
       | Live s as witness when s == next ->
-          (match x with Node n -> M.set n.succ witness | Tail _ -> ());
-          if M.cas (succ_cell_exn prev) witness (Live x) then true else try_link x prev next
+          (match x with Node _ -> M.set_link x succ_of witness | Tail _ -> ());
+          if M.cas_link (linked prev) succ_of witness (Live x) then true else try_link x prev next
       | Live _ -> re_search x prev
     and re_search x prev =
       let prev, next = search_from ~below:below_leq v prev in
@@ -193,7 +193,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       | Some (prev, status) ->
           (* Whether we won the flag or found it, drive the deletion to its
              unlink so the list stays garbage-free. *)
-          (match M.get (succ_cell_exn prev) with
+          (match M.get_link (linked prev) succ_of with
           | Flagged s as fl when s == del -> help_flagged prev fl del
           | Live _ | Flagged _ | Marked _ -> () (* already completed by a helper *));
           status
@@ -209,7 +209,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       | Tail _ -> acc
       | Node n ->
           let succ, marked =
-            match M.get n.succ with
+            match M.get_link node succ_of with
             | Live s | Flagged s -> (s, false)
             | Marked s -> (s, true)
           in
@@ -239,7 +239,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         | Node n ->
             let v = M.get n.key in
             let succ, marked =
-              match M.get n.succ with
+              match M.get_link node succ_of with
               | Live s | Flagged s -> (s, false)
               | Marked s -> (s, true)
             in

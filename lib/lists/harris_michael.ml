@@ -4,11 +4,12 @@
     the paper measures: each node's successor pointer and its logical
     deletion mark live together in a separate immutable pair object (Java's
     [AtomicMarkableReference]), swapped wholesale by CAS.  Reading the
-    successor therefore costs {e two} dependent loads — the cell, then the
-    pair — which is exactly the traversal overhead the paper blames for
-    Harris-Michael losing read-only workloads by up to 1.6x (§4,
-    "Comparison against Harris-Michael").  The instrumented backend charges
-    the second load via [M.touch] on the pair's own line.
+    successor therefore costs {e two} dependent loads — the pair, then the
+    successor it holds — where a VBL hop costs one, which is exactly the
+    traversal overhead the paper blames for Harris-Michael losing
+    read-only workloads by up to 1.6x (§4, "Comparison against
+    Harris-Michael").  The instrumented backend charges the second load
+    via [M.touch] on the pair's own line.
 
     Progress: lock-free updates, wait-free [contains].  A failed physical
     unlink during [remove] is abandoned (the node stays logically deleted
@@ -22,12 +23,13 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   module C = Vbl_obs.Metrics
 
   type node =
-    | Node of { value : int M.cell; amr : pair M.cell }
+    | Node of { amr : pair M.link; value : int M.cell }
     | Tail of { value : int M.cell }
 
   (* The AtomicMarkableReference payload: immutable, one allocation per
      link-state change, on its own coherence line.  On the real backend
-     [M.cas] compiles down to [Atomic.compare_and_set] on the cell — the
+     [M.cas_link] compiles down to [Atomic.compare_and_set] on the node's
+     first field — the
      algorithm itself never touches [Atomic.] or [Mutex.] directly, and
      the AST lint (unlike its grep predecessor) knows this comment is not
      code. *)
@@ -35,22 +37,24 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type t = { head : node; pool : node M.pool }
 
-  let amr_cell_exn = function Node n -> n.amr | Tail _ -> assert false
+  (* The AMR cell is each [Node]'s first field, an [M.link]; the tail has
+     none, so every link access checks its node with [linked]. *)
+  let amr_of = function Node n -> n.amr | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   let make_pair next marked = { p_next = next; p_marked = marked; p_line = M.fresh_line () }
 
   (* Names are only built for instrumented backends ([M.named]); on the
-     real backend an insert allocates exactly the node, its cells and the
-     AMR pair the variant is defined by. *)
+     real backend an insert allocates exactly the node, its value cell and
+     the AMR pair the variant is defined by.  The link (and its pair's
+     line) is made before the value cell, the order the instrumented
+     backends number their lines and shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        amr = M.field nm ".amr" ~line (make_pair next false);
-      }
+    let amr = M.link nm ".amr" ~line (make_pair next false) in
+    Node { amr; value = M.field nm ".val" ~line value }
 
   let create () =
     let tl = M.fresh_line () in
@@ -58,13 +62,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:hl min_int;
-          amr = M.field hn ".amr" ~line:hl (make_pair tail false);
-        }
-    in
+    let amr = M.link hn ".amr" ~line:hl (make_pair tail false) in
+    let head = Node { amr; value = M.field hn ".val" ~line:hl min_int } in
     (* The head sentinel doubles as the pool's miss sentinel: it can never
        be retired. *)
     { head; pool = M.make_pool ~dummy:head }
@@ -85,7 +84,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       (match x with
       | Node n ->
           M.set n.value v;
-          M.set n.amr (make_pair next false)
+          M.set_link x amr_of (make_pair next false)
       | Tail _ -> assert false);
       x
     end
@@ -101,7 +100,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
      engine skips the indirect no-op call ([M.named]).  Hops flush in one
      probe call per traversal (see vbl_list). *)
   let rec find t v =
-    let head_pair = M.get (amr_cell_exn t.head) in
+    let head_pair = M.get_link (linked t.head) amr_of in
     if M.named then M.touch ~line:head_pair.p_line ~name:"pair";
     advance t v t.head head_pair head_pair.p_next 0
 
@@ -111,13 +110,13 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         if !Probe.enabled then Probe.add C.Traversal_steps hops;
         (prev, prev_pair, curr, max_int)
     | Node n ->
-        let curr_pair = M.get n.amr in
+        let curr_pair = M.get_link curr amr_of in
         if M.named then M.touch ~line:curr_pair.p_line ~name:"pair";
         if curr_pair.p_marked then begin
           (* Help unlink the logically deleted [curr]. *)
           let replacement = make_pair curr_pair.p_next false in
           Probe.count C.Cas_attempts;
-          if M.cas (amr_cell_exn prev) prev_pair replacement then begin
+          if M.cas_link (linked prev) amr_of prev_pair replacement then begin
             Probe.count C.Physical_unlinks;
             (* Exactly one unlinking CAS can succeed for [curr] (pairs are
                compared by identity and never reused), so this is the
@@ -146,9 +145,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     if cv = v then false
     else begin
       let x = if M.reclaiming then recycle_node t v curr else make_node v curr in
-      let linked = make_pair x false in
+      let fresh = make_pair x false in
       Probe.count C.Cas_attempts;
-      if M.cas (amr_cell_exn prev) prev_pair linked then true
+      if M.cas_link (linked prev) amr_of prev_pair fresh then true
       else begin
         Probe.count C.Cas_failures;
         Probe.count C.Restarts;
@@ -172,7 +171,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let prev, prev_pair, curr, cv = find t v in
     if cv <> v then false
     else begin
-      let curr_pair = M.get (amr_cell_exn curr) in
+      let curr_pair = M.get_link (linked curr) amr_of in
       if M.named then M.touch ~line:curr_pair.p_line ~name:"pair";
       if curr_pair.p_marked then begin
         Probe.count C.Restarts;
@@ -181,7 +180,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else begin
         let marked = make_pair curr_pair.p_next true in
         Probe.count C.Cas_attempts;
-        if not (M.cas (amr_cell_exn curr) curr_pair marked) then begin
+        if not (M.cas_link (linked curr) amr_of curr_pair marked) then begin
           (* Logical deletion failed (concurrent insert after curr or a
              concurrent remove of curr): restart the operation. *)
           Probe.count C.Cas_failures;
@@ -194,7 +193,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
              a future traversal's helping step (which then retires it). *)
           let unlinked = make_pair curr_pair.p_next false in
           Probe.count C.Cas_attempts;
-          if M.cas (amr_cell_exn prev) prev_pair unlinked then begin
+          if M.cas_link (linked prev) amr_of prev_pair unlinked then begin
             Probe.count C.Physical_unlinks;
             if M.reclaiming then M.retire t.pool curr
           end
@@ -222,7 +221,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         if !Probe.enabled then Probe.add C.Traversal_steps hops;
         false
     | Node n ->
-        let pair = M.get n.amr in
+        let pair = M.get_link curr amr_of in
         if M.named then M.touch ~line:pair.p_line ~name:"pair";
         let cv = M.get n.value in
         if cv < v then contains_walk v pair.p_next (hops + 1)
@@ -233,8 +232,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   let contains_start t v =
     match t.head with
-    | Node n ->
-        let head_pair = M.get n.amr in
+    | Node _ ->
+        let head_pair = M.get_link t.head amr_of in
         if M.named then M.touch ~line:head_pair.p_line ~name:"pair";
         contains_walk v head_pair.p_next 0
     | Tail _ -> assert false
@@ -254,7 +253,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n ->
-          let pair = M.get n.amr in
+          let pair = M.get_link node amr_of in
           let v = M.get n.value in
           if v > hi then acc
           else
@@ -292,7 +291,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else Error "tail sentinel does not store max_int"
         | Node n ->
             let v = M.get n.value in
-            let pair = M.get n.amr in
+            let pair = M.get_link node amr_of in
             (* Marked nodes may legitimately remain linked (deferred
                unlinking), but sortedness must hold across them. *)
             if v <= last && steps > 0 then

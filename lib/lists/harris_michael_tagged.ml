@@ -7,7 +7,8 @@
     unmarked or the marked node subclass, so one load yields both the
     successor and the logical-deletion state.  The OCaml analogue is a
     two-constructor link type, [Live of node | Marked of node], in a single
-    CAS-able cell: one [M.get] per hop, no [touch], no separate pair line.
+    CAS-able [M.link]: one [M.get_link] per hop, no [touch], no separate
+    pair line.
 
     Algorithmically identical to {!Harris_michael}; only the link encoding
     differs, which is exactly the ablation the paper performs. *)
@@ -19,7 +20,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   module C = Vbl_obs.Metrics
 
   type node =
-    | Node of { value : int M.cell; link : link M.cell }
+    | Node of { link : link M.link; value : int M.cell }
     | Tail of { value : int M.cell }
 
   (* [Live succ] — this node is present, successor is [succ].
@@ -28,14 +29,20 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type t = { head : node }
 
-  let link_cell_exn = function Node n -> n.link | Tail _ -> assert false
+  (* The link is each [Node]'s first field, an [M.link]; the tail has
+     none, so every link access checks its node with [linked]. *)
+  let link_of = function Node n -> n.link | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
-  (* Names are only built for instrumented backends ([M.named]). *)
+  (* Names are only built for instrumented backends ([M.named]).  The
+     link is made before the value cell, the order the instrumented
+     backends number their shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node { value = M.field nm ".val" ~line value; link = M.field nm ".next" ~line (Live next) }
+    let link = M.link nm ".next" ~line (Live next) in
+    Node { link; value = M.field nm ".val" ~line value }
 
   let create () =
     let tl = M.fresh_line () in
@@ -43,13 +50,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:hl min_int;
-          link = M.field hn ".next" ~line:hl (Live tail);
-        }
-    in
+    let link = M.link hn ".next" ~line:hl (Live tail) in
+    let head = Node { link; value = M.field hn ".val" ~line:hl min_int } in
     { head }
 
   let check_key v =
@@ -62,7 +64,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
      result tuple is one small allocation per update.  Hops flush in one
      probe call per traversal (see vbl_list). *)
   let rec find t v =
-    match M.get (link_cell_exn t.head) with
+    match M.get_link (linked t.head) link_of with
     | Live first as head_link -> advance t v t.head head_link first 0
     | Marked _ -> assert false (* the head sentinel is never deleted *)
 
@@ -72,11 +74,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         if !Probe.enabled then Probe.add C.Traversal_steps hops;
         (prev, prev_link, curr, max_int)
     | Node n -> begin
-        match M.get n.link with
+        match M.get_link curr link_of with
         | Marked succ ->
             let replacement = Live succ in
             Probe.count C.Cas_attempts;
-            if M.cas (link_cell_exn prev) prev_link replacement then begin
+            if M.cas_link (linked prev) link_of prev_link replacement then begin
               Probe.count C.Physical_unlinks;
               advance t v prev replacement succ (hops + 1)
             end
@@ -102,7 +104,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     else begin
       let x = make_node v curr in
       Probe.count C.Cas_attempts;
-      if M.cas (link_cell_exn prev) prev_link (Live x) then true
+      if M.cas_link (linked prev) link_of prev_link (Live x) then true
       else begin
         Probe.count C.Cas_failures;
         Probe.count C.Restarts;
@@ -115,13 +117,13 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let prev, prev_link, curr, cv = find t v in
     if cv <> v then false
     else begin
-      match M.get (link_cell_exn curr) with
+      match M.get_link (linked curr) link_of with
       | Marked _ ->
           Probe.count C.Restarts;
           remove t v
       | Live succ as curr_link ->
           Probe.count C.Cas_attempts;
-          if not (M.cas (link_cell_exn curr) curr_link (Marked succ)) then begin
+          if not (M.cas_link (linked curr) link_of curr_link (Marked succ)) then begin
             Probe.count C.Cas_failures;
             Probe.count C.Restarts;
             remove t v
@@ -130,7 +132,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             Probe.count C.Logical_deletes;
             (* Best-effort physical unlink, as in the AMR variant. *)
             Probe.count C.Cas_attempts;
-            if M.cas (link_cell_exn prev) prev_link (Live succ) then
+            if M.cas_link (linked prev) link_of prev_link (Live succ) then
               Probe.count C.Physical_unlinks
             else Probe.count C.Cas_failures;
             true
@@ -144,7 +146,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         if !Probe.enabled then Probe.add C.Traversal_steps hops;
         false
     | Node n -> begin
-        match M.get n.link with
+        match M.get_link curr link_of with
         | Live succ ->
             let cv = M.get n.value in
             if cv < v then contains_walk v succ (hops + 1)
@@ -164,7 +166,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   let contains t v =
     check_key v;
-    match M.get (link_cell_exn t.head) with
+    match M.get_link (linked t.head) link_of with
     | Live first -> contains_walk v first 0
     | Marked _ -> assert false
 
@@ -175,7 +177,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n ->
-          let succ, marked = link_parts (M.get n.link) in
+          let succ, marked = link_parts (M.get_link node link_of) in
           let v = M.get n.value in
           if v > hi then acc
           else
@@ -200,7 +202,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             if M.get n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let succ, _ = link_parts (M.get n.link) in
+            let succ, _ = link_parts (M.get_link node link_of) in
             let v = M.get n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)

@@ -12,26 +12,31 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "hand-over-hand"
 
   type node =
-    | Node of { value : int M.cell; next : node M.cell; lock : M.lock }
+    | Node of { next : node M.link; value : int M.cell; lock : M.lock }
     | Tail of { value : int M.cell; lock : M.lock }
 
   type t = { head : node }
 
   let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
-  let next_cell_exn = function Node n -> n.next | Tail _ -> assert false
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none, so every link access checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
+
+  (* A node's cells are made lock first and value last, the order the
+     instrumented backends number their shadows in. *)
+  let build nm ~line value next =
+    let lock = M.field_lock nm ".lock" ~line () in
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value; lock }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next = M.field nm ".next" ~line next;
-        lock = M.field_lock nm ".lock" ~line ();
-      }
+    build nm ~line value next
 
   let create () =
     let tl = M.fresh_line () in
@@ -42,14 +47,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:hl min_int;
-          next = M.field hn ".next" ~line:hl tail;
-          lock = M.field_lock hn ".lock" ~line:hl ();
-        }
-    in
+    let head = build hn ~line:hl min_int tail in
     { head }
 
   let check_key v =
@@ -63,7 +61,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let rec crab prev curr =
       let tval = node_value curr in
       if tval < v then begin
-        let succ = M.get (next_cell_exn curr) in
+        let succ = M.get_link (linked curr) next_of in
         M.lock (node_lock succ);
         M.unlock (node_lock prev);
         crab curr succ
@@ -71,7 +69,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else (prev, curr, tval)
     in
     M.lock (node_lock t.head);
-    let curr = M.get (next_cell_exn t.head) in
+    let curr = M.get_link (linked t.head) next_of in
     M.lock (node_lock curr);
     crab t.head curr
 
@@ -85,7 +83,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let result =
       if tval = v then false
       else begin
-        M.set (next_cell_exn prev) (make_node v curr);
+        M.set_link (linked prev) next_of (make_node v curr);
         true
       end
     in
@@ -97,7 +95,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let prev, curr, tval = locate_locked t v in
     let result =
       if tval = v then begin
-        M.set (next_cell_exn prev) (M.get (next_cell_exn curr));
+        M.set_link (linked prev) next_of (M.get_link (linked curr) next_of);
         true
       end
       else false
@@ -120,7 +118,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           if v > hi then acc
           else
             let acc = if lo <= v && v <> min_int then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -142,7 +140,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             let v = M.get n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

@@ -21,8 +21,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type node =
     | Node of {
+        next : node M.link;
         value : int M.cell;
-        next : node M.cell;
         marked : bool M.cell;
         lock : M.lock;
       }
@@ -33,21 +33,23 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
   let node_marked = function Node n -> M.get n.marked | Tail n -> M.get n.marked
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
-  let next_cell_exn = function Node n -> n.next | Tail _ -> assert false
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none, so every link access checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   (* Names are only built for instrumented backends ([M.named]); on the
-     real backend an insert allocates exactly the node and its cells. *)
+     real backend an insert allocates exactly the node and its cells,
+     made lock first and value last (the order the instrumented backends
+     number their shadows in). *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next = M.field nm ".next" ~line next;
-        marked = M.field nm ".del" ~line false;
-        lock = M.field_lock nm ".lock" ~line ();
-      }
+    let lock = M.field_lock nm ".lock" ~line () in
+    let marked = M.field nm ".del" ~line false in
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value; marked; lock }
 
   let make_sentinel value =
     let line = M.fresh_line () in
@@ -62,8 +64,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail = Tail { value = tv; marked = tm; lock = tlk } in
     let hl, hv, hm, hlk = make_sentinel min_int in
     let hn = if M.named then Naming.head else "" in
-    let next = M.field hn ".next" ~line:hl tail in
-    let head = Node { value = hv; next; marked = hm; lock = hlk } in
+    let next = M.link hn ".next" ~line:hl tail in
+    let head = Node { next; value = hv; marked = hm; lock = hlk } in
     (* The head sentinel doubles as the pool's miss sentinel: it can never
        be retired. *)
     { head; pool = M.make_pool ~dummy:head }
@@ -92,7 +94,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       (match x with
       | Node n ->
           M.set n.value v;
-          M.set n.next next;
+          M.set_link x next_of next;
           M.set n.marked false
       | Tail _ -> assert false);
       x
@@ -100,13 +102,13 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   (* O(1) validation under both locks (Heller et al. fig. 4). *)
   let[@hot] validate prev curr =
-    (not (node_marked prev)) && (not (node_marked curr)) && M.get (next_cell_exn prev) == curr
+    (not (node_marked prev)) && (not (node_marked curr)) && M.get_link (linked prev) next_of == curr
 
   (* Post-locking discipline, kept faithful: locks are taken before the
      operation knows whether it will modify the list, and every validation
      failure restarts from the head. *)
   let[@hot] rec insert_walk t v prev curr hops =
-    if node_value curr < v then insert_walk t v curr (M.get (next_cell_exn curr)) (hops + 1)
+    if node_value curr < v then insert_walk t v curr (M.get_link (linked curr) next_of) (hops + 1)
     else begin
       if !Probe.enabled then Probe.add C.Traversal_steps hops;
       M.lock (node_lock prev);
@@ -118,7 +120,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         let result =
           if tval = v then false
           else begin
-            M.set (next_cell_exn prev)
+            M.set_link (linked prev) next_of
               (if M.reclaiming then recycle_node t v curr else make_node v curr);
             true
           end
@@ -132,7 +134,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         Probe.count C.Restarts;
         M.unlock (node_lock curr);
         M.unlock (node_lock prev);
-        insert_walk t v t.head (M.get (next_cell_exn t.head)) 1
+        insert_walk t v t.head (M.get_link (linked t.head) next_of) 1
       end
     end
 
@@ -142,14 +144,14 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     if M.reclaiming then begin
       let h = M.op_enter t.pool in
-      let r = insert_walk t v t.head (M.get (next_cell_exn t.head)) 1 in
+      let r = insert_walk t v t.head (M.get_link (linked t.head) next_of) 1 in
       M.op_exit t.pool h;
       r
     end
-    else insert_walk t v t.head (M.get (next_cell_exn t.head)) 1
+    else insert_walk t v t.head (M.get_link (linked t.head) next_of) 1
 
   let[@hot] rec remove_walk t v prev curr hops =
-    if node_value curr < v then remove_walk t v curr (M.get (next_cell_exn curr)) (hops + 1)
+    if node_value curr < v then remove_walk t v curr (M.get_link (linked curr) next_of) (hops + 1)
     else begin
       if !Probe.enabled then Probe.add C.Traversal_steps hops;
       M.lock (node_lock prev);
@@ -163,7 +165,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           else begin
             (match curr with Node n -> M.set n.marked true | Tail _ -> assert false);
             Probe.count C.Logical_deletes;
-            M.set (next_cell_exn prev) (M.get (next_cell_exn curr));
+            M.set_link (linked prev) next_of (M.get_link (linked curr) next_of);
             Probe.count C.Physical_unlinks;
             true
           end
@@ -182,7 +184,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         Probe.count C.Restarts;
         M.unlock (node_lock curr);
         M.unlock (node_lock prev);
-        remove_walk t v t.head (M.get (next_cell_exn t.head)) 1
+        remove_walk t v t.head (M.get_link (linked t.head) next_of) 1
       end
     end
 
@@ -190,14 +192,14 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     if M.reclaiming then begin
       let h = M.op_enter t.pool in
-      let r = remove_walk t v t.head (M.get (next_cell_exn t.head)) 1 in
+      let r = remove_walk t v t.head (M.get_link (linked t.head) next_of) 1 in
       M.op_exit t.pool h;
       r
     end
-    else remove_walk t v t.head (M.get (next_cell_exn t.head)) 1
+    else remove_walk t v t.head (M.get_link (linked t.head) next_of) 1
 
   let[@hot] rec contains_walk v curr hops =
-    if node_value curr < v then contains_walk v (M.get (next_cell_exn curr)) (hops + 1)
+    if node_value curr < v then contains_walk v (M.get_link (linked curr) next_of) (hops + 1)
     else begin
       if !Probe.enabled then Probe.add C.Traversal_steps hops;
       node_value curr = v && not (node_marked curr)
@@ -207,11 +209,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     if M.reclaiming then begin
       let h = M.op_enter t.pool in
-      let r = contains_walk v (M.get (next_cell_exn t.head)) 1 in
+      let r = contains_walk v (M.get_link (linked t.head) next_of) 1 in
       M.op_exit t.pool h;
       r
     end
-    else contains_walk v (M.get (next_cell_exn t.head)) 1
+    else contains_walk v (M.get_link (linked t.head) next_of) 1
 
   let fold_walk lo hi f init t =
     let rec loop acc node =
@@ -223,7 +225,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           else
             let keep = lo <= v && v <> min_int && not (M.get n.marked) in
             let acc = if keep then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -261,7 +263,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else if steps > 0 && M.get n.marked then
               (* At quiescence every marked node has also been unlinked. *)
               Error (Printf.sprintf "marked node %d still reachable" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

@@ -12,26 +12,31 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "optimistic"
 
   type node =
-    | Node of { value : int M.cell; next : node M.cell; lock : M.lock }
+    | Node of { next : node M.link; value : int M.cell; lock : M.lock }
     | Tail of { value : int M.cell; lock : M.lock }
 
   type t = { head : node }
 
   let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
-  let next_cell_exn = function Node n -> n.next | Tail _ -> assert false
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none, so every link access checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
+
+  (* A node's cells are made lock first and value last, the order the
+     instrumented backends number their shadows in. *)
+  let build nm ~line value next =
+    let lock = M.field_lock nm ".lock" ~line () in
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value; lock }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next = M.field nm ".next" ~line next;
-        lock = M.field_lock nm ".lock" ~line ();
-      }
+    build nm ~line value next
 
   let create () =
     let tl = M.fresh_line () in
@@ -42,14 +47,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:hl min_int;
-          next = M.field hn ".next" ~line:hl tail;
-          lock = M.field_lock hn ".lock" ~line:hl ();
-        }
-    in
+    let head = build hn ~line:hl min_int tail in
     { head }
 
   let check_key v =
@@ -58,9 +56,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   let locate t v =
     let rec loop prev curr =
-      if node_value curr < v then loop curr (M.get (next_cell_exn curr)) else (prev, curr)
+      if node_value curr < v then loop curr (M.get_link (linked curr) next_of) else (prev, curr)
     in
-    let curr = M.get (next_cell_exn t.head) in
+    let curr = M.get_link (linked t.head) next_of in
     loop t.head curr
 
   (* Validation by re-traversal (Herlihy & Shavit fig. 9.12): [prev] must
@@ -68,8 +66,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let validate t prev curr =
     let prev_value = node_value prev in
     let rec walk node =
-      if node == prev then M.get (next_cell_exn prev) == curr
-      else if node_value node < prev_value then walk (M.get (next_cell_exn node))
+      if node == prev then M.get_link (linked prev) next_of == curr
+      else if node_value node < prev_value then walk (M.get_link (linked node) next_of)
       else false
     in
     walk t.head
@@ -95,7 +93,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     with_validated t v (fun prev curr tval ->
         if tval = v then false
         else begin
-          M.set (next_cell_exn prev) (make_node v curr);
+          M.set_link (linked prev) next_of (make_node v curr);
           true
         end)
 
@@ -103,7 +101,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     with_validated t v (fun prev curr tval ->
         if tval = v then begin
-          M.set (next_cell_exn prev) (M.get (next_cell_exn curr));
+          M.set_link (linked prev) next_of (M.get_link (linked curr) next_of);
           true
         end
         else false)
@@ -121,7 +119,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           if v > hi then acc
           else
             let acc = if lo <= v && v <> min_int then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -143,7 +141,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             let v = M.get n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

@@ -12,7 +12,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "sequential"
 
   type node =
-    | Node of { value : int M.cell; next : node M.cell }
+    | Node of { next : node M.link; value : int M.cell }
     | Tail of { value : int M.cell }
 
   type t = { head : node }
@@ -21,16 +21,21 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     | Node n -> M.get n.value
     | Tail n -> M.get n.value
 
-  let next_cell_exn = function
-    | Node n -> n.next
-    | Tail _ -> assert false (* traversals stop at the tail's +inf value *)
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none (traversals stop at its +inf value), so every link access
+     checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
-  (* Names are only built for instrumented backends ([M.named]). *)
+  (* Names are only built for instrumented backends ([M.named]).  The
+     link is made before the value cell, the order the instrumented
+     backends number their shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node { value = M.field nm ".val" ~line value; next = M.field nm ".next" ~line next }
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value }
 
   let create () =
     let tail_line = M.fresh_line () in
@@ -38,13 +43,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail = Tail { value = M.field tn ".val" ~line:tail_line max_int } in
     let head_line = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:head_line min_int;
-          next = M.field hn ".next" ~line:head_line tail;
-        }
-    in
+    let next = M.link hn ".next" ~line:head_line tail in
+    let head = Node { next; value = M.field hn ".val" ~line:head_line min_int } in
     { head }
 
   let check_key v =
@@ -56,10 +56,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let locate t v =
     let rec loop prev curr =
       let tval = node_value curr in
-      if tval < v then loop curr (M.get (next_cell_exn curr)) else (prev, curr, tval)
+      if tval < v then loop curr (M.get_link (linked curr) next_of) else (prev, curr, tval)
     in
     let prev = t.head in
-    let curr = M.get (next_cell_exn prev) in
+    let curr = M.get_link (linked prev) next_of in
     loop prev curr
 
   let insert t v =
@@ -68,7 +68,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     if tval = v then false
     else begin
       let x = make_node v curr in
-      M.set (next_cell_exn prev) x;
+      M.set_link (linked prev) next_of x;
       true
     end
 
@@ -76,16 +76,21 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     let prev, curr, tval = locate t v in
     if tval = v then begin
-      let tnext = M.get (next_cell_exn curr) in
-      M.set (next_cell_exn prev) tnext;
+      let tnext = M.get_link (linked curr) next_of in
+      M.set_link (linked prev) next_of tnext;
       true
     end
     else false
 
+  (* [locate]'s reads without its result tuple, so a membership test
+     allocates nothing. *)
+  let rec contains_walk v curr =
+    let tval = node_value curr in
+    if tval < v then contains_walk v (M.get_link (linked curr) next_of) else tval = v
+
   let contains t v =
     check_key v;
-    let _, _, tval = locate t v in
-    tval = v
+    contains_walk v (M.get_link (linked t.head) next_of)
 
   let fold_range lo hi f init t =
     let rec loop acc node =
@@ -96,7 +101,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           if v > hi then acc
           else
             let acc = if lo <= v && v <> min_int then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -118,7 +123,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             let v = M.get n.value in
             if v <= last && not (v = min_int && steps = 0) then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

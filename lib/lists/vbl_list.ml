@@ -32,8 +32,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type node =
     | Node of {
+        next : node M.link;
         value : int M.cell;
-        next : node M.cell;
         deleted : bool M.cell;
         lock : M.lock;
       }
@@ -44,7 +44,18 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
-  let next_cell_exn = function Node n -> n.next | Tail _ -> assert false
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none, so every link access checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
+
+  (* A node's cells are made lock first and value last, the order the
+     instrumented backends number their shadows in. *)
+  let build nm ~line value next =
+    let lock = M.field_lock nm ".lock" ~line () in
+    let deleted = M.field nm ".del" ~line false in
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value; deleted; lock }
 
   (* Names are only built for instrumented backends ([M.named]); on the
      real backend an insert allocates exactly the node and its cells. *)
@@ -52,13 +63,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next = M.field nm ".next" ~line next;
-        deleted = M.field nm ".del" ~line false;
-        lock = M.field_lock nm ".lock" ~line ();
-      }
+    build nm ~line value next
 
   let create () =
     let tl = M.fresh_line () in
@@ -73,15 +78,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:hl min_int;
-          next = M.field hn ".next" ~line:hl tail;
-          deleted = M.field hn ".del" ~line:hl false;
-          lock = M.field_lock hn ".lock" ~line:hl ();
-        }
-    in
+    let head = build hn ~line:hl min_int tail in
     (* The head sentinel doubles as the pool's miss sentinel: it can never
        be retired, so [x == t.head] is an unambiguous "free-list empty". *)
     { head; pool = M.make_pool ~dummy:head }
@@ -114,7 +111,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let[@hot] [@acquires] lock_next_at node at =
     if !Prof.profiling then timed_lock (node_lock node) Prof.Lock_next_at
     else M.lock (node_lock node);
-    if (not (node_deleted node)) && M.get (next_cell_exn node) == at then begin
+    if (not (node_deleted node)) && M.get_link (linked node) next_of == at then begin
       Probe.count C.Lock_acquisitions;
       true
     end
@@ -129,7 +126,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let[@hot] [@acquires] lock_next_at_value node v =
     if !Prof.profiling then timed_lock (node_lock node) Prof.Lock_next_at_value
     else M.lock (node_lock node);
-    if (not (node_deleted node)) && node_value (M.get (next_cell_exn node)) = v then begin
+    if (not (node_deleted node)) && node_value (M.get_link (linked node) next_of) = v then begin
       Probe.count C.Lock_acquisitions;
       true
     end
@@ -152,7 +149,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       (match x with
       | Node n ->
           M.set n.value v;
-          M.set n.next next;
+          M.set_link x next_of next;
           M.set n.deleted false
       | Tail _ -> assert false);
       x
@@ -161,11 +158,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Lines 22-32; restarts resume from [prev] (line 24). *)
   let[@hot] rec insert_attempt t v prev =
     let prev = if node_deleted prev then t.head else prev in
-    insert_walk t v prev (M.get (next_cell_exn prev)) 1
+    insert_walk t v prev (M.get_link (linked prev) next_of) 1
 
   and[@hot] insert_walk t v prev curr hops =
     if node_value curr < v then
-      insert_walk t v curr (M.get (next_cell_exn curr)) (hops + 1)
+      insert_walk t v curr (M.get_link (linked curr) next_of) (hops + 1)
     else begin
       if !Probe.enabled then Probe.add C.Traversal_steps hops;
       if node_value curr = v then false
@@ -173,7 +170,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         let x = if M.reclaiming then recycle_node t v curr else make_node v curr in
         if lock_next_at prev curr then begin
           let t_acq = if !Prof.profiling then Prof.now_ns () else 0 in
-          M.set (next_cell_exn prev) x;
+          M.set_link (linked prev) next_of x;
           M.unlock (node_lock prev);
           if !Prof.profiling then
             Prof.record_hold Prof.Lock_next_at (Prof.now_ns () - t_acq);
@@ -207,16 +204,16 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* Lines 33-48; restarts resume from [prev] (line 35). *)
   let[@hot] rec remove_attempt t v prev =
     let prev = if node_deleted prev then t.head else prev in
-    remove_walk t v prev (M.get (next_cell_exn prev)) 1
+    remove_walk t v prev (M.get_link (linked prev) next_of) 1
 
   and[@hot] remove_walk t v prev curr hops =
     if node_value curr < v then
-      remove_walk t v curr (M.get (next_cell_exn curr)) (hops + 1)
+      remove_walk t v curr (M.get_link (linked curr) next_of) (hops + 1)
     else begin
       if !Probe.enabled then Probe.add C.Traversal_steps hops;
       if node_value curr <> v then false
       else begin
-        let next = M.get (next_cell_exn curr) in
+        let next = M.get_link (linked curr) next_of in
         if not (lock_next_at_value prev v) then begin
           Probe.count C.Restarts;
           remove_attempt t v prev (* goto line 35 *)
@@ -225,7 +222,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           let t_prev = if !Prof.profiling then Prof.now_ns () else 0 in
           (* Line 40: re-read the successor under the lock; a concurrent
              remove+insert of [v] may have replaced the node. *)
-          let curr = M.get (next_cell_exn prev) in
+          let curr = M.get_link (linked prev) next_of in
           if not (lock_next_at curr next) then begin
             Probe.count C.Restarts;
             M.unlock (node_lock prev);
@@ -239,7 +236,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             | Node n -> M.set n.deleted true
             | Tail _ -> assert false);
             Probe.count C.Logical_deletes;
-            M.set (next_cell_exn prev) (M.get (next_cell_exn curr));
+            M.set_link (linked prev) next_of (M.get_link (linked curr) next_of);
             Probe.count C.Physical_unlinks;
             M.unlock (node_lock curr);
             M.unlock (node_lock prev);
@@ -270,7 +267,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   (* Lines 9-13: value-only wait-free membership test. *)
   let[@hot] rec contains_walk v curr hops =
-    if node_value curr < v then contains_walk v (M.get (next_cell_exn curr)) (hops + 1)
+    if node_value curr < v then contains_walk v (M.get_link (linked curr) next_of) (hops + 1)
     else begin
       if !Probe.enabled then Probe.add C.Traversal_steps hops;
       node_value curr = v
@@ -296,7 +293,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           else
             let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
             let acc = if keep then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -337,7 +334,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
               Error (Printf.sprintf "deleted node %d still reachable" v)
             else if M.lock_held (node_lock node) then
               Error (Printf.sprintf "node %d left locked" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

@@ -16,8 +16,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type node =
     | Node of {
+        next : node M.link;
         value : int M.cell;
-        next : node M.cell;
         deleted : bool M.cell;
         lock : M.lock;
       }
@@ -28,20 +28,22 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
-  let next_cell_exn = function Node n -> n.next | Tail _ -> assert false
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none, so every link access checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
-  (* Names are only built for instrumented backends ([M.named]). *)
+  (* Names are only built for instrumented backends ([M.named]).  Cells
+     are made lock first and value last, the order the instrumented
+     backends number their shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next = M.field nm ".next" ~line next;
-        deleted = M.field nm ".del" ~line false;
-        lock = M.field_lock nm ".lock" ~line ();
-      }
+    let lock = M.field_lock nm ".lock" ~line () in
+    let deleted = M.field nm ".del" ~line false in
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value; deleted; lock }
 
   let make_sentinel value =
     let line = M.fresh_line () in
@@ -56,8 +58,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail = Tail { value = tv; deleted = td; lock = tlk } in
     let hl, hv, hd, hlk = make_sentinel min_int in
     let hn = if M.named then Naming.head else "" in
-    let next = M.field hn ".next" ~line:hl tail in
-    let head = Node { value = hv; next; deleted = hd; lock = hlk } in
+    let next = M.link hn ".next" ~line:hl tail in
+    let head = Node { next; value = hv; deleted = hd; lock = hlk } in
     { head }
 
   let check_key v =
@@ -67,9 +69,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let waitfree_traversal t v prev =
     let prev = if node_deleted prev then t.head else prev in
     let rec loop prev curr =
-      if node_value curr < v then loop curr (M.get (next_cell_exn curr)) else (prev, curr)
+      if node_value curr < v then loop curr (M.get_link (linked curr) next_of) else (prev, curr)
     in
-    loop prev (M.get (next_cell_exn prev))
+    loop prev (M.get_link (linked prev) next_of)
 
   (* The ablated discipline: take the lock first, then find out whether the
      operation was even needed. *)
@@ -78,7 +80,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let rec attempt prev =
       let prev, curr = waitfree_traversal t v prev in
       M.lock (node_lock prev);
-      if node_deleted prev || not (M.get (next_cell_exn prev) == curr) then begin
+      if node_deleted prev || not (M.get_link (linked prev) next_of == curr) then begin
         M.unlock (node_lock prev);
         attempt prev
       end
@@ -88,7 +90,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       end
       else begin
         let x = make_node v curr in
-        M.set (next_cell_exn prev) x;
+        M.set_link (linked prev) next_of x;
         M.unlock (node_lock prev);
         true
       end
@@ -100,7 +102,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let rec attempt prev =
       let prev, curr = waitfree_traversal t v prev in
       M.lock (node_lock prev);
-      if node_deleted prev || not (M.get (next_cell_exn prev) == curr) then begin
+      if node_deleted prev || not (M.get_link (linked prev) next_of == curr) then begin
         M.unlock (node_lock prev);
         attempt prev
       end
@@ -115,7 +117,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
         (match curr with
         | Node n -> M.set n.deleted true
         | Tail _ -> assert false);
-        M.set (next_cell_exn prev) (M.get (next_cell_exn curr));
+        M.set_link (linked prev) next_of (M.get_link (linked curr) next_of);
         M.unlock (node_lock curr);
         M.unlock (node_lock prev);
         true
@@ -126,7 +128,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let contains t v =
     check_key v;
     let rec loop curr =
-      if node_value curr < v then loop (M.get (next_cell_exn curr)) else node_value curr = v
+      if node_value curr < v then loop (M.get_link (linked curr) next_of) else node_value curr = v
     in
     loop t.head
 
@@ -140,7 +142,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           else
             let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
             let acc = if keep then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -165,7 +167,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else if steps > 0 && M.get n.deleted then
               Error (Printf.sprintf "deleted node %d still reachable" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

@@ -20,8 +20,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type node =
     | Node of {
+        next : node M.link;
         value : int M.cell;
-        next : node M.cell;
         version : int M.cell;  (** bumped on every [next] write *)
         deleted : bool M.cell;
         lock : M.lock;
@@ -33,7 +33,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
-  let next_cell_exn = function Node n -> n.next | Tail _ -> assert false
+  (* The successor is each [Node]'s first field, an [M.link]; the tail
+     has none, so every link access checks its node with [linked]. *)
+  let next_of = function Node n -> n.next | Tail _ -> assert false
+  let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
   let version_exn = function Node n -> M.get n.version | Tail _ -> assert false
 
   (* The bump must FOLLOW the [next] write.  Traversals snapshot the
@@ -45,23 +48,25 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let set_next node target =
     match node with
     | Node n ->
-        M.set n.next target;
+        M.set_link node next_of target;
         M.set n.version (M.get n.version + 1)
     | Tail _ -> assert false
+
+  (* A node's cells are made lock first and value last, the order the
+     instrumented backends number their shadows in. *)
+  let build nm ~line value next =
+    let lock = M.field_lock nm ".lock" ~line () in
+    let deleted = M.field nm ".del" ~line false in
+    let version = M.field nm ".ver" ~line 0 in
+    let next = M.link nm ".next" ~line next in
+    Node { next; value = M.field nm ".val" ~line value; version; deleted; lock }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node
-      {
-        value = M.field nm ".val" ~line value;
-        next = M.field nm ".next" ~line next;
-        version = M.field nm ".ver" ~line 0;
-        deleted = M.field nm ".del" ~line false;
-        lock = M.field_lock nm ".lock" ~line ();
-      }
+    build nm ~line value next
 
   let create () =
     let tl = M.fresh_line () in
@@ -76,16 +81,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
-    let head =
-      Node
-        {
-          value = M.field hn ".val" ~line:hl min_int;
-          next = M.field hn ".next" ~line:hl tail;
-          version = M.field hn ".ver" ~line:hl 0;
-          deleted = M.field hn ".del" ~line:hl false;
-          lock = M.field_lock hn ".lock" ~line:hl ();
-        }
-    in
+    let head = build hn ~line:hl min_int tail in
     { head }
 
   let check_key v =
@@ -99,12 +95,12 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let rec loop prev pver curr =
       if node_value curr < v then begin
         let cver = version_exn curr in
-        loop curr cver (M.get (next_cell_exn curr))
+        loop curr cver (M.get_link (linked curr) next_of)
       end
       else (prev, pver, curr)
     in
     let pver = version_exn prev in
-    loop prev pver (M.get (next_cell_exn prev))
+    loop prev pver (M.get_link (linked prev) next_of)
 
   (* Version-based try-lock: lock, then require the node live and its
      version unchanged since the traversal's snapshot.  [@acquires]: on
@@ -150,7 +146,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           (match curr with
           | Node n -> M.set n.deleted true
           | Tail _ -> assert false);
-          set_next prev (M.get (next_cell_exn curr));
+          set_next prev (M.get_link (linked curr) next_of);
           M.unlock (node_lock curr);
           M.unlock (node_lock prev);
           true
@@ -162,7 +158,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let contains t v =
     check_key v;
     let rec loop curr =
-      if node_value curr < v then loop (M.get (next_cell_exn curr)) else node_value curr = v
+      if node_value curr < v then loop (M.get_link (linked curr) next_of) else node_value curr = v
     in
     loop t.head
 
@@ -176,7 +172,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           else
             let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
             let acc = if keep then f acc v else acc in
-            loop acc (M.get n.next)
+            loop acc (M.get_link node next_of)
     in
     loop init t.head
 
@@ -201,7 +197,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else if steps > 0 && M.get n.deleted then
               Error (Printf.sprintf "deleted node %d still reachable" v)
-            else loop v (M.get n.next) (steps + 1)
+            else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
     | Node n when M.get n.value = min_int -> loop min_int t.head 0

@@ -108,6 +108,12 @@ let make ?(name = "") ~line v =
 
 let field node suffix ~line v = make ~name:(node ^ suffix) ~line v
 
+(* A link is the named cell [field] makes, reached through the family's
+   accessor: the same step, name, line and shadow as a cell access. *)
+type 'a link = 'a cell
+
+let link = field
+
 (* Padding is a physical-layout concern; the instrumented cost model works
    in explicit [line]s, so a padded cell is just a cell (and must NOT be
    re-allocated: schedules address cells by identity). *)
@@ -135,6 +141,12 @@ let cas c expected desired =
   if success then c.v <- desired;
   last_cas_result := success;
   success
+
+let get_link n next_of = get (next_of n)
+
+let set_link n next_of v = set (next_of n) v
+
+let cas_link n next_of expected desired = cas (next_of n) expected desired
 
 let touch ~line ~name = yield ~line ~name ~shadow:no_shadow Touch
 

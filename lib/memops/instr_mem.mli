@@ -75,6 +75,12 @@ val make : ?name:string -> line:int -> 'a -> 'a cell
 val field : string -> string -> line:int -> 'a -> 'a cell
 (** [field node suffix] is [make ~name:(node ^ suffix)]. *)
 
+type 'a link
+
+val link : string -> string -> line:int -> 'a -> 'a link
+(** [link node suffix] is [field node suffix]: an instrumented link is a
+    named cell. *)
+
 val make_padded : ?name:string -> line:int -> 'a -> 'a cell
 (** Identical to {!make}: padding is a physical-layout concern the
     instrumented cost model expresses through [line]s instead. *)
@@ -84,6 +90,14 @@ val get : 'a cell -> 'a
 val set : 'a cell -> 'a -> unit
 
 val cas : 'a cell -> 'a -> 'a -> bool
+
+val get_link : 'n -> ('n -> 'a link) -> 'a
+(** [get_link n next_of] is [get (next_of n)]; likewise {!set_link} and
+    {!cas_link}. *)
+
+val set_link : 'n -> ('n -> 'a link) -> 'a -> unit
+
+val cas_link : 'n -> ('n -> 'a link) -> 'a -> 'a -> bool
 
 val last_cas_result : bool ref
 (** Result of the most recent [cas] or [try_lock], readable by the

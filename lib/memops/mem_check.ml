@@ -8,10 +8,13 @@ module _ : Mem_intf.S = Instr_mem
 (* Runtime backend-parity check: the same mixed workload, expressed once
    as a functor over {!Mem_intf.S}, must leave the same abstract set
    behind on both backends.  The workload is a miniature sorted
-   singly-linked set exercising every primitive of the signature — get,
-   set, cas (taken and failed), touch, new_node, field, try_lock on a
-   make_lock and a field_lock, blocking lock/unlock — so a backend whose
-   primitive semantics drift (a cas that misreports, a set that is lost,
+   singly-linked set exercising every primitive of the signature — link,
+   get_link, set_link and cas_link (taken and failed) on nodes whose
+   first field is their successor link, as the list families lay them
+   out; get, set and cas (taken and failed) on cells; touch, new_node,
+   field, try_lock on a make_lock and a field_lock, blocking lock/unlock
+   — so a backend whose primitive semantics drift (a cas that
+   misreports, a set that is lost, a link read from the wrong field,
    lock state leaking between operations) produces a visible set
    difference rather than a subtle downstream failure.  [Instr_mem] runs
    it under [run_sequential]; [Real_mem] runs it directly on a single
@@ -19,44 +22,52 @@ module _ : Mem_intf.S = Instr_mem
    results must agree exactly. *)
 
 module Parity_workload (M : Mem_intf.S) = struct
-  type node = Nil | Node of { value : int; next : node M.cell }
+  type node = Nil | Node of { next : node M.link; value : int M.cell }
+
+  (* [Nil] has no link: every link access checks its node first. *)
+  let next_of = function Node n -> n.next | Nil -> assert false
+  let linked = function Node _ as n -> n | Nil -> assert false
+  let next n = M.get_link (linked n) next_of
 
   let insert head v =
     let line = M.fresh_line () in
     let nm = if M.named then Printf.sprintf "P%d" v else "" in
     if M.named then M.new_node ~name:nm ~line;
     let rec walk prev =
-      match M.get prev with
-      | Node { value; next } when value < v -> walk next
-      | Node { value; _ } when value = v -> false
+      match next prev with
+      | Node { value; _ } as curr when M.get value < v -> walk curr
+      | Node { value; _ } when M.get value = v -> false
       | at ->
-          let n = Node { value = v; next = M.field nm ".next" ~line at } in
-          M.cas prev at n
+          let value = M.field nm ".val" ~line v in
+          M.cas_link (linked prev) next_of at (Node { next = M.link nm ".next" ~line at; value })
     in
     walk head
 
   let remove head v =
     let rec walk prev =
-      match M.get prev with
-      | Node { value; next } when value < v -> walk next
-      | Node { value; next } when value = v ->
-          M.set prev (M.get next);
+      match next prev with
+      | Node { value; _ } as curr when M.get value < v -> walk curr
+      | Node { value; _ } as curr when M.get value = v ->
+          M.set_link (linked prev) next_of (next curr);
           true
       | _ -> false
     in
     walk head
 
   let to_list head =
-    let rec go acc n =
-      match M.get n with Nil -> List.rev acc | Node { value; next } -> go (value :: acc) next
+    let rec go acc = function
+      | Nil -> List.rev acc
+      | Node { value; _ } as n -> go (M.get value :: acc) (next n)
     in
-    go [] head
+    go [] (next head)
 
-  (* One deterministic mixed run: interleaved inserts/removes, a failed
-     cas, lock-guarded mutation, and the bookkeeping primitives. *)
+  (* One deterministic mixed run: interleaved inserts/removes, failed
+     link and cell cas, lock-guarded mutation, and the bookkeeping
+     primitives. *)
   let run () =
     let line = M.fresh_line () in
-    let head = M.make ~name:"p.head" ~line Nil in
+    let value = M.make ~name:"p.min" ~line 0 in
+    let head = Node { next = M.link "p" ".head" ~line Nil; value } in
     M.touch ~line ~name:"p.touch";
     let lock = M.make_lock ~name:"p.lock" ~line () in
     let node_lock = M.field_lock "p" ".nlock" ~line () in
@@ -67,11 +78,17 @@ module Parity_workload (M : Mem_intf.S) = struct
       [ 5; 3; 9; 3; 7; 1; 9 ];
     record "remove" 3 (remove head 3);
     record "remove" 4 (remove head 4);
-    (* A cas that must fail: insert 0 replaces the head cell's node, so
-       the earlier read is stale by the time the cas runs. *)
-    let stale = M.get head in
+    (* A link cas that must fail: insert 0 replaces the head's successor,
+       so the earlier read is stale by the time the cas runs. *)
+    let stale = next head in
     record "insert" 0 (insert head 0);
-    record "cas-stale" 0 (M.cas head stale Nil);
+    record "cas-stale" 0 (M.cas_link head next_of stale Nil);
+    (* Cell cas, taken then stale, and a plain store. *)
+    let count = M.make ~name:"p.count" ~line 0 in
+    record "cas-cell" 0 (M.cas count 0 1);
+    record "cas-cell-stale" 0 (M.cas count 0 2);
+    M.set count 3;
+    record "set-cell" (M.get count) true;
     (* Lock-guarded update; also checks try_lock sees the held state. *)
     M.lock lock;
     record "trylock-held" 0 (M.try_lock lock);

@@ -19,7 +19,8 @@
     Lines tag the coherence granule an access belongs to: all cells of one
     list node share the node's line, mirroring the fact that a node's
     [val]/[next]/[deleted]/lock metadata share a cache line on the paper's
-    testbeds.  The real backend ignores lines and names entirely. *)
+    testbeds.  The real backend ignores lines and names entirely, and
+    keeps a list node's successor ({!S.link}) in the node's own block. *)
 
 module type S = sig
   type 'a cell
@@ -51,6 +52,40 @@ module type S = sig
       [".next"] make ["X1.next"]); the real backend ignores both strings.
       Node builders pass the node name guarded on {!named} (or [""]) and
       a constant suffix, so each builder is written once. *)
+
+  type 'a link
+  (** A list node's successor: the one shared location every hop of a
+      traversal reads.  The contract, which lint rule L1 checks on every
+      record that holds one:
+
+      - a link is the {e first} field of its node's record (or inline
+        record), and a node has at most one;
+      - it is written only by the store that allocates the node and
+        afterwards only through {!set_link} and {!cas_link}.
+
+      The real backends store the successor itself in that field and
+      reach it with the [Atomic] primitives applied to the node's block
+      (an [Atomic.t] is a one-field block, and OCaml 5.1 can address only
+      field 0 of a block atomically), so a link is exactly as atomic as
+      an [Atomic.t] cell and a hop is one dependent load instead of two.
+      OCaml 5.4's atomic record fields would replace the one [Obj.magic]
+      this takes.  Instrumented backends keep the named cell {!field}
+      makes and reach it through the family's accessor, so a link access
+      is the same step, name, line and shadow as a cell access. *)
+
+  val link : string -> string -> line:int -> 'a -> 'a link
+  (** [link node suffix ~line v] is {!field} for a node's successor. *)
+
+  val get_link : 'n -> ('n -> 'a link) -> 'a
+  (** [get_link n next_of] reads the link of node [n]; [next_of] is the
+      family's accessor for the link field.  The real backends do not
+      call it: they read field 0 of [n]'s block, so callers must rule out
+      link-less nodes (a [Tail]) before every link access. *)
+
+  val set_link : 'n -> ('n -> 'a link) -> 'a -> unit
+
+  val cas_link : 'n -> ('n -> 'a link) -> 'a -> 'a -> bool
+  (** Compare-and-set on physical equality, as {!cas}. *)
 
   val make_padded : ?name:string -> line:int -> 'a -> 'a cell
   (** Like {!make}, but the real backend places the cell on its own cache

@@ -5,8 +5,9 @@
     [named = false]: algorithms skip name construction entirely, and
     {!field}/{!field_lock} ignore the node name and suffix they are
     handed, so a node's creation allocates exactly its cells and nothing
-    else.  The accessors are [@inline]-annotated single primitives.  The
-    registry sets are build-time instances with [M] bound to this module
+    else; a list node's successor ({!link}) is a field of the node itself,
+    not a cell.  The accessors are [@inline]-annotated single primitives.
+    The registry sets are build-time instances with [M] bound to this module
     statically (lib/*/specialised), so even classic ocamlopt inlines the
     accessors into their traversals; code that applies a functor to this
     module calls them through the functor argument instead. *)
@@ -20,6 +21,24 @@ let fresh_line () = 0
 let[@inline] make ?name:_ ~line:_ v = Atomic.make v
 
 let[@inline] field _ _ ~line:_ v = Atomic.make v
+
+(* A link is field 0 of its node's block, and the [Atomic] primitives
+   address field 0 of whatever block they are handed (an [Atomic.t] is a
+   one-field block), so the successor needs no cell of its own and the
+   accessor [next_of] goes unused.  OCaml 5.4's atomic record fields
+   would express this without the cast. *)
+type 'a link = 'a
+
+let[@inline] link _ _ ~line:_ v = v
+
+let[@inline] as_atomic (node : 'n) : 'a Atomic.t = Obj.magic node
+
+let[@inline] get_link n _ = Atomic.get (as_atomic n)
+
+let[@inline] set_link n _ v = Atomic.set (as_atomic n) v
+
+let[@inline] cas_link n _ expected desired =
+  Atomic.compare_and_set (as_atomic n) expected desired
 
 (* A padded cell spans a whole cache line, so striped counters written by
    different domains never invalidate each other's lines.  Cold path only

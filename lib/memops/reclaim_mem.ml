@@ -9,7 +9,7 @@
     back — what the grace period buys is the safety of {e reinitializing}
     a node (new value, new successor) without a concurrent traversal
     observing the change, plus the allocation win: a free-list hit costs
-    an insert 0 fresh words instead of a 13-word node. *)
+    an insert 0 fresh words instead of an 11-word node. *)
 
 include Real_mem
 

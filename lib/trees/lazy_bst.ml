@@ -73,9 +73,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let leaf_value = function Leaf l -> M.get l.value | Router _ -> assert false
 
   (* Lock [node] and check it is live and still the parent of [expected]
-     for value [v]; a lock counts once it passes this validation.
-     [@acquires]: on success the lock is handed to the caller (lint L3
-     exemption). *)
+     for value [v]; a lock counts once it passes this validation, and a
+     failed validation counts as one, as the lazy list's does (the caller
+     restarts).  [@acquires]: on success the lock is handed to the caller
+     (lint L3 exemption). *)
   let[@hot] [@acquires] lock_child_at node v expected =
     M.lock (router_lock node);
     if (not (router_deleted node)) && M.get (child_cell node v) == expected then begin
@@ -83,6 +84,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
       true
     end
     else begin
+      Probe.count C.Validation_failures;
       M.unlock (router_lock node);
       false
     end

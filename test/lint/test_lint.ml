@@ -37,6 +37,11 @@ let l1_mutation () =
     [ ("L1", 4, 11); ("L1", 6, 13); ("L1", 7, 11); ("L1", 8, 22) ]
     (spans ~rules:[ F.L1 ] "bad_l1_mutation.ml")
 
+let l1_link () =
+  check_spans "a link after another field, and a second link, flagged; first-field links clean"
+    [ ("L1", 6, 36); ("L1", 10, 36) ]
+    (spans ~rules:[ F.L1 ] "bad_l1_link.ml")
+
 let l2_naming () =
   check_spans
     "unguarded Naming mentions flagged, also as a field's node name; guarded and \
@@ -91,6 +96,11 @@ let l7_publish () =
     [ ("L7", 10, 6); ("L7", 11, 6) ]
     (spans ~rules:[ F.L7 ] "bad_l7_publish.ml")
 
+let l7_link () =
+  check_spans "a fresh node's link written after its publishing store flagged; link first clean"
+    [ ("L7", 7, 4) ]
+    (spans ~rules:[ F.L7 ] "bad_l7_link.ml")
+
 let l7_version_mutant () =
   (* The PR 6 vbl_versioned bug shape, under every rule: the only
      finding is L7 on the next write that trails the version bump. *)
@@ -138,6 +148,7 @@ let () =
         [
           Alcotest.test_case "L1 atomics" `Quick l1_atomics;
           Alcotest.test_case "L1 mutation" `Quick l1_mutation;
+          Alcotest.test_case "L1 link layout" `Quick l1_link;
           Alcotest.test_case "L2 naming" `Quick l2_naming;
           Alcotest.test_case "L3 lock pairing" `Quick l3_leak;
           Alcotest.test_case "L4 hot allocation" `Quick l4_hot;
@@ -148,6 +159,7 @@ let () =
           Alcotest.test_case "L5 epoch bracket" `Quick l5_bracket;
           Alcotest.test_case "L6 retire/use" `Quick l6_retire;
           Alcotest.test_case "L7 publish order" `Quick l7_publish;
+          Alcotest.test_case "L7 link publish order" `Quick l7_link;
           Alcotest.test_case "L7 version-first mutant" `Quick l7_version_mutant;
           Alcotest.test_case "clean reclaiming module" `Quick clean_reclaim;
         ] );

@@ -5,8 +5,22 @@
 module Real = Vbl_memops.Real_mem
 module Instr = Vbl_memops.Instr_mem
 
+(* A link is its node's first field on the real backend; [after] is
+   the field that a misplaced access would hit. *)
+type real_node = { succ : string Real.link; after : string }
+
 let real_tests =
   [
+    Alcotest.test_case "links live in their node's first field" `Quick (fun () ->
+        let a = "a" and b = String.make 1 'a' in
+        let n = { succ = Real.link "x" ".next" ~line:0 a; after = "z" } in
+        let next_of n = n.succ in
+        Alcotest.(check string) "get" "a" (Real.get_link n next_of);
+        Alcotest.(check bool) "cas on physical equality" false (Real.cas_link n next_of b "c");
+        Alcotest.(check bool) "cas" true (Real.cas_link n next_of a "c");
+        Real.set_link n next_of "d";
+        Alcotest.(check string) "after set" "d" (Real.get_link n next_of);
+        Alcotest.(check string) "second field untouched" "z" n.after);
     Alcotest.test_case "cells hold values" `Quick (fun () ->
         let c = Real.make ~line:(Real.fresh_line ()) 7 in
         Alcotest.(check int) "get" 7 (Real.get c);
@@ -37,6 +51,28 @@ let real_tests =
         Real.touch ~line:3 ~name:"x";
         Real.new_node ~name:"x" ~line:3);
   ]
+
+(* The access stream of [f] — kind, name and line of every step — via a
+   deep handler that resumes each access at once. *)
+let access_stream f =
+  let log = ref [] in
+  Effect.Deep.match_with f ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Instr.Access a ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  log := (Format.asprintf "%a" Instr.pp_kind a.Instr.kind, a.name, a.line) :: !log;
+                  Effect.Deep.continue k ())
+          | _ -> None);
+    };
+  List.rev !log
+
+type linked = { next : int Instr.link }
 
 let instr_tests =
   [
@@ -70,33 +106,6 @@ let instr_tests =
         let a = Instr.fresh_line () and b = Instr.fresh_line () in
         Alcotest.(check bool) "distinct" true (a <> b));
     Alcotest.test_case "effects arrive in program order with names" `Quick (fun () ->
-        (* Collect the access stream of a tiny program via a deep handler. *)
-        let log = ref [] in
-        Effect.Deep.match_with
-          (fun () ->
-            let line = Instr.fresh_line () in
-            let c = Instr.make ~name:"x.val" ~line 1 in
-            ignore (Instr.get c);
-            Instr.set c 2;
-            ignore (Instr.cas c 2 3);
-            Instr.touch ~line ~name:"x.pair";
-            Instr.new_node ~name:"x" ~line;
-            ignore (Instr.get (Instr.field "x" ".next" ~line 0));
-            ignore (Instr.try_lock (Instr.field_lock "x" ".lock" ~line ())))
-          ()
-          {
-            retc = Fun.id;
-            exnc = raise;
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Instr.Access a ->
-                    Some
-                      (fun (k : (a, unit) Effect.Deep.continuation) ->
-                        log := (a.Instr.kind, a.Instr.name) :: !log;
-                        Effect.Deep.continue k ())
-                | _ -> None);
-          };
         Alcotest.(check (list (pair string string)))
           "stream"
           [
@@ -108,9 +117,31 @@ let instr_tests =
             ("R", "x.next");
             ("trylock", "x.lock");
           ]
-          (List.rev_map
-             (fun (k, n) -> (Format.asprintf "%a" Instr.pp_kind k, n))
-             !log));
+          (List.map
+             (fun (k, n, _) -> (k, n))
+             (access_stream (fun () ->
+                  let line = Instr.fresh_line () in
+                  let c = Instr.make ~name:"x.val" ~line 1 in
+                  ignore (Instr.get c);
+                  Instr.set c 2;
+                  ignore (Instr.cas c 2 3);
+                  Instr.touch ~line ~name:"x.pair";
+                  Instr.new_node ~name:"x" ~line;
+                  ignore (Instr.get (Instr.field "x" ".next" ~line 0));
+                  ignore (Instr.try_lock (Instr.field_lock "x" ".lock" ~line ()))))));
+    Alcotest.test_case "a link access is one step named node ^ suffix" `Quick (fun () ->
+        (* The instrumented link is the cell [field] makes, reached through
+           the accessor: each access one step on the node's line. *)
+        let line = Instr.fresh_line () in
+        Alcotest.(check (list (triple string string int)))
+          "stream"
+          [ ("R", "x.next", line); ("W", "x.next", line); ("CAS", "x.next", line) ]
+          (access_stream (fun () ->
+               let node = { next = Instr.link "x" ".next" ~line 0 } in
+               let next_of n = n.next in
+               ignore (Instr.get_link node next_of);
+               Instr.set_link node next_of 2;
+               ignore (Instr.cas_link node next_of 2 3))));
     Alcotest.test_case "last_cas_result tracks success" `Quick (fun () ->
         Instr.run_sequential (fun () ->
             let c = Instr.make ~name:"c" ~line:0 1 in

@@ -715,14 +715,16 @@ let bst_forced_restart_test =
       Alcotest.(check int) "one restart" 1 restarts)
 
 (* lazy-bst: T1 stops at its lock on the inner sentinel, and validates a
-   child that T0 has replaced by a router. *)
+   child that T0 has replaced by a router: one failed validation. *)
 let lazy_bst_forced_restart_test =
   Alcotest.test_case "lazy-bst: a replaced leaf restarts the insert" `Quick (fun () ->
       Alcotest.(check (triple int int int))
         "hops (1 + 1, then 2), one validated lock each, one restart" (4, 2, 1)
         (bst_forced_restart
            (module Vbl_trees.Registry.Lazy_bst_i)
-           ~stop:(fun a -> a.Instr.kind = Instr.Lock_try)))
+           ~stop:(fun a -> a.Instr.kind = Instr.Lock_try));
+      Alcotest.(check int) "one validation failure" 1
+        (Metrics.get (Metrics.snapshot ()) Validation_failures))
 
 (* lockfree-bst: T1 stops at its flagging CAS on the inner sentinel,
    whose clean stamp T0's unflag has replaced. *)
