@@ -154,7 +154,8 @@ let family cfg =
     [ (20, 50) ]
 
 (* Does value-aware validation help a skip list the way it helps a list?
-   (lib/skiplists/vbl_skiplist.ml says why the expected gap is small.) *)
+   (The [Vbl] header in lib/skiplists/lock_skiplist.ml says why the expected
+   gap is small.) *)
 let skiplists cfg =
   sweep cfg ~title:"== Extension: skip lists (paper §5 future work) =="
     ~algorithms:[ "lazy-skiplist"; "vbl-skiplist"; "lockfree-skiplist"; "vbl" ]

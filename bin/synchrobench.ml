@@ -283,6 +283,13 @@ let run algo threads update range duration warmup trials seed horizon engine csv
   if range < 1 then usage_error "-r %d: expected a key range of at least 1" range;
   if update < 0 || update > 100 then
     usage_error "-u %d: expected a percentage between 0 and 100" update;
+  (* [nan] fails every comparison, so each test is written to reject it. *)
+  if not (duration > 0. && Float.is_finite duration) then
+    usage_error "-d %g: expected a positive, finite number of seconds" duration;
+  if not (warmup >= 0. && Float.is_finite warmup) then
+    usage_error "-w %g: expected a non-negative, finite number of seconds" warmup;
+  if not (horizon > 0. && Float.is_finite horizon) then
+    usage_error "--horizon %g: expected a positive, finite number of cycles" horizon;
   Option.iter
     (fun s ->
       if not (s > 0.) then

@@ -51,40 +51,38 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     if v = min_int || v = max_int then
       invalid_arg "list-based set: key must be strictly between min_int and max_int"
 
-  (* The traversal of Algorithm 1: returns the first node with value >= v,
-     its observed value, and the predecessor. *)
-  let locate t v =
-    let rec loop prev curr =
-      let tval = node_value curr in
-      if tval < v then loop curr (M.get_link (linked curr) next_of) else (prev, curr, tval)
-    in
-    let prev = t.head in
-    let curr = M.get_link (linked prev) next_of in
-    loop prev curr
-
-  let insert t v =
-    check_key v;
-    let prev, curr, tval = locate t v in
-    if tval = v then false
+  (* The traversal of Algorithm 1 as closed top-level walks that end in
+     the update itself: [prev] trails [curr] until the first value >= v,
+     so an update allocates at most its node. *)
+  let[@hot] rec insert_walk v prev curr =
+    let tval = node_value curr in
+    if tval < v then insert_walk v curr (M.get_link (linked curr) next_of)
+    else if tval = v then false
     else begin
       let x = make_node v curr in
       M.set_link (linked prev) next_of x;
       true
     end
 
-  let remove t v =
+  let insert t v =
     check_key v;
-    let prev, curr, tval = locate t v in
-    if tval = v then begin
+    insert_walk v t.head (M.get_link (linked t.head) next_of)
+
+  let[@hot] rec remove_walk v prev curr =
+    let tval = node_value curr in
+    if tval < v then remove_walk v curr (M.get_link (linked curr) next_of)
+    else if tval = v then begin
       let tnext = M.get_link (linked curr) next_of in
       M.set_link (linked prev) next_of tnext;
       true
     end
     else false
 
-  (* [locate]'s reads without its result tuple, so a membership test
-     allocates nothing. *)
-  let rec contains_walk v curr =
+  let remove t v =
+    check_key v;
+    remove_walk v t.head (M.get_link (linked t.head) next_of)
+
+  let[@hot] rec contains_walk v curr =
     let tval = node_value curr in
     if tval < v then contains_walk v (M.get_link (linked curr) next_of) else tval = v
 

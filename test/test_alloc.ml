@@ -77,17 +77,12 @@ let insert_allocates_only_the_node name ~budget () =
     Alcotest.failf "%s insert allocates %.2f minor words/op (node budget %d)" name per_op
       budget
 
-(* Fresh inserts in a fixed shuffled order, so the trees stay shallow and
-   every skiplist tower height is drawn in the same sequence: 200 warm-up
-   inserts, then the minor words per insert over the next 4 000.  The
-   walks allocate nothing, so this is the node plus whatever the
-   algorithm's insert path builds around it (towers, search arrays,
-   descriptors).  A name string or closure built on the real backend
-   shows up as extra words. *)
-let fresh_insert_words name =
-  let module S = (val find_impl name : Vbl_lists.Set_intf.S) in
-  let warmup = 200 and n = 4_000 in
-  let keys = Array.init (warmup + n) (fun i -> i + 1) in
+(* Keys in a fixed shuffled order, so the trees stay shallow and every
+   skiplist tower height is drawn in the same sequence. *)
+let warmup = 200 and measured = 4_000
+
+let shuffled_keys () =
+  let keys = Array.init (warmup + measured) (fun i -> i + 1) in
   let rng = Random.State.make [| 7 |] in
   for i = Array.length keys - 1 downto 1 do
     let j = Random.State.int rng (i + 1) in
@@ -95,21 +90,48 @@ let fresh_insert_words name =
     keys.(i) <- keys.(j);
     keys.(j) <- k
   done;
-  let t = S.create () in
+  keys
+
+(* [op] on the first [warmup] keys, then its minor words per call over
+   the next [measured]. *)
+let words_per_key op keys =
   for i = 0 to warmup - 1 do
-    ignore (S.insert t keys.(i) : bool)
+    ignore (op keys.(i) : bool)
   done;
   let before = Gc.minor_words () in
-  for i = warmup to warmup + n - 1 do
-    ignore (S.insert t keys.(i) : bool)
+  for i = warmup to warmup + measured - 1 do
+    ignore (op keys.(i) : bool)
   done;
   let after = Gc.minor_words () in
-  (after -. before) /. float_of_int n
+  (after -. before) /. float_of_int measured
+
+(* Fresh inserts in the shuffled order.  The walks allocate nothing, so
+   this is the node plus whatever the algorithm's insert path builds
+   around it (towers, search arrays, descriptors).  A name string or
+   closure built on the real backend shows up as extra words. *)
+let fresh_insert_words name =
+  let module S = (val find_impl name : Vbl_lists.Set_intf.S) in
+  let t = S.create () in
+  words_per_key (S.insert t) (shuffled_keys ())
+
+(* Removes of present keys, in the shuffled order they were inserted. *)
+let present_remove_words name =
+  let module S = (val find_impl name : Vbl_lists.Set_intf.S) in
+  let keys = shuffled_keys () in
+  let t = S.create () in
+  Array.iter (fun k -> ignore (S.insert t k : bool)) keys;
+  words_per_key (S.remove t) keys
 
 let insert_allocates name ~budget () =
   let per_op = fresh_insert_words name in
   if Float.abs (per_op -. budget) > 0.1 then
     Alcotest.failf "%s fresh insert allocates %.2f minor words (budget %.2f)" name per_op
+      budget
+
+let remove_allocates name ~budget () =
+  let per_op = present_remove_words name in
+  if Float.abs (per_op -. budget) > 0.1 then
+    Alcotest.failf "%s present remove allocates %.2f minor words (budget %.2f)" name per_op
       budget
 
 (* Failed updates take the value-check early exit without locking — and,
@@ -206,21 +228,22 @@ let insert_cases =
    allocates today (the rows are checked against the registries below).
    The skiplist figures are exact for the shuffled order above (tower
    heights are drawn from a per-set counter); their fraction is the mean
-   tower.  A tree insert allocates only what it links: a 23-word node on
-   vbl-bst; a 4-word leaf and a 16-word router on sequential-bst and
-   lazy-bst; on lockfree-bst a 2-word leaf, a 17-word internal node (its
+   tower.  A lazy-skiplist or vbl-skiplist insert is its node (record,
+   three cells, lock and tower: about 21 words) plus its two search
+   arrays (34 words); the retry loop is a closed recursion.  A tree
+   insert allocates only what it links: a 23-word node on vbl-bst; a
+   4-word leaf and a 16-word router on sequential-bst and lazy-bst; on
+   lockfree-bst a 2-word leaf, a 17-word internal node (its
    record, three cells, its clean stamp and the [Internal] box), the
    6-word flag descriptor and the unflag's 4-word clean stamp.  A list
-   node's successor is a field of its record, not a cell.  The coarse
-   sets add nothing to the sequential set they lock: coarse-bst is
-   sequential-bst's 20, and coarse is the 18 words of the sequential
-   list it applies as a functor, whose [locate] loop closure captures
-   the functor's environment and so is 4 words larger than in the
-   build-time instance measured as "sequential". *)
+   node's successor is a field of its record, not a cell: a sequential
+   node is 5 words, and the sequential walks are closed, so that is the
+   whole insert.  The coarse sets add nothing to the sequential set they
+   lock: coarse-bst is sequential-bst's 20, and coarse is sequential's 5. *)
 let budgets =
   [
-    ("sequential", 14.);
-    ("coarse", 18.);
+    ("sequential", 5.);
+    ("coarse", 5.);
     ("hand-over-hand", 17.);
     ("optimistic", 27.);
     ("harris-michael", 18.);
@@ -233,8 +256,8 @@ let budgets =
     ("lazy", 11.);
     ("vbl-reclaim", 11.);
     ("lazy-reclaim", 11.);
-    ("lazy-skiplist", 63.02);
-    ("vbl-skiplist", 63.02);
+    ("lazy-skiplist", 55.02);
+    ("vbl-skiplist", 55.02);
     ("lockfree-skiplist", 240.04);
     ("sequential-bst", 20.);
     ("coarse-bst", 20.);
@@ -265,12 +288,29 @@ let budget_cases =
         budgets_name_every_unsharded_set;
     ]
 
+(* A skiplist remove of a present key, in the shuffled order.  On
+   lazy-skiplist and vbl-skiplist it is the two [max_level] search arrays
+   (17 words each): the search, the victim selection, the lock, the mark
+   and the splice are closed helpers.  lockfree-skiplist adds a third
+   search array and the closures of its [find] and [remove] loops. *)
+let remove_budgets =
+  [ ("lazy-skiplist", 34.); ("vbl-skiplist", 34.); ("lockfree-skiplist", 382.04) ]
+
+let remove_budget_cases =
+  List.map
+    (fun (name, budget) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: present remove allocates %g words" name budget)
+        `Quick (remove_allocates name ~budget))
+    remove_budgets
+
 let () =
   Alcotest.run "alloc"
     [
       ("contains", contains_cases);
       ("insert", insert_cases);
       ("insert-budgets", budget_cases);
+      ("remove-budgets", remove_budget_cases);
       ( "failed-updates",
         [
           Alcotest.test_case "vbl: value-check early exits allocate nothing" `Quick

@@ -601,6 +601,7 @@ module Reclaim = Vbl_memops.Reclaim_mem
 module L = Vbl_lists
 module Sk = Vbl_skiplists
 module Tr = Vbl_trees
+module Lock_skip = Sk.Lock_skiplist.Make (Real)
 
 let twin_case ?(title = "generated instance = functor twin") ?(ops = 4_000)
     ((generated : Vbl_lists.Registry.impl), (twin : Vbl_lists.Registry.impl)) =
@@ -643,8 +644,8 @@ let twins : (Vbl_lists.Registry.impl * Vbl_lists.Registry.impl) list =
     ((module L.Registry.Lazy_reclaim), (module L.Lazy_list.Make (Reclaim)));
     ((module L.Registry.Harris_michael_reclaim), (module L.Harris_michael.Make (Reclaim)));
     ((module L.Registry.Vbl_reclaim), (module L.Vbl_list.Make (Reclaim)));
-    ((module Sk.Registry.Lazy_skip), (module Sk.Lazy_skiplist.Make (Real)));
-    ((module Sk.Registry.Vbl_skip), (module Sk.Vbl_skiplist.Make (Real)));
+    ((module Sk.Registry.Lazy_skip), (module Lock_skip.Lazy));
+    ((module Sk.Registry.Vbl_skip), (module Lock_skip.Vbl));
     ((module Sk.Registry.Lockfree_skip), (module Sk.Lockfree_skiplist.Make (Real)));
     ((module Tr.Registry.Sequential_bst), (module Tr.Seq_bst.Make (Real)));
     ((module Tr.Registry.Coarse_bst_impl), (module Tr.Coarse_bst.Make (Real)));
