@@ -4,9 +4,10 @@
      lint [--rule ...] [--format ...] FILE.ml
 
    Parses every algorithm source under ROOT (default directories
-   lib/lists, lib/skiplists, lib/trees, lib/shard with all seven rules,
-   plus lib/reclaim with the backend subset L3..L7 — override with
-   repeated --dir, which lints the named directories uniformly) and
+   lib/lists, lib/skiplists and lib/shard with all seven rules, lib/trees
+   with L1..L4, as no tree reclaims yet, and lib/reclaim with the
+   backend subset L3..L7 — override with repeated --dir, which lints the
+   named directories uniformly) and
    enforces the discipline rules of vbl.lint; see FRAMEWORK.md "Static
    lint layer".  Exit status: 0 clean, 1 findings, 2 usage or
    missing-directory errors.                                            *)

@@ -443,7 +443,8 @@ let l6_check ctx vb =
               go f;
               List.iter (fun (_, a) -> go a) args;
               match path with
-              | [ _; ("set" | "cas" | "set_link" | "cas_link") ] -> unlink_seen := true
+              | [ _; ("set" | "cas" | "set_link" | "cas_link" | "set_key") ] ->
+                  unlink_seen := true
               | _ -> ())
       | Pexp_let (_, vbs, body) ->
           List.iter
@@ -490,9 +491,10 @@ let l6_check ctx vb =
 
 (* Once a node is published — its name appears in the stored value of an
    [M.set]/[M.cas] or of their [_link] forms, or its [version] field is
-   bumped — writing a direct field cell of it ([n.field]) or its link
-   ([M.set_link x ...]) with a non-constant value is a finding: other
-   threads can already reach the node, so initialization came too late.
+   bumped — writing a direct field cell of it ([n.field]), its link
+   ([M.set_link x ...]) or its key ([M.set_key x ...]) with a
+   non-constant value is a finding: other threads can already reach the
+   node, so initialization came too late.
    Constant stores ([M.set n.fully_linked true]) are the deliberate
    post-publish flag idiom and stay exempt.  Cells and links reached
    through accessor or guard helpers ([linked prev]) are list surgery on
@@ -559,11 +561,12 @@ let l7_check ctx vb =
           Some (resolve_root n, (match List.rev (flatten fld) with f :: _ -> f | [] -> ""))
       | _ -> None
     in
-    (* A link store names its node; a guard or accessor around the node
-       ([linked prev]) is surgery on a reachable node, like [next_of]. *)
-    let link_of node =
+    (* A link or key store names its node; a guard or accessor around
+       the node ([linked prev]) is surgery on a reachable node, like
+       [next_of]. *)
+    let node_field fld node =
       match node.pexp_desc with
-      | Pexp_ident { txt = Lident n; _ } -> Some (resolve_root n, "link")
+      | Pexp_ident { txt = Lident n; _ } -> Some (resolve_root n, fld)
       | _ -> None
     in
     let handle_store field_cell v loc =
@@ -610,9 +613,11 @@ let l7_check ctx vb =
           | [ _; "set" ], [ (_, cell); (_, v) ] -> handle_store (field_of cell) v e.pexp_loc
           | [ _; "cas" ], [ (_, cell); _; (_, v) ] -> handle_store (field_of cell) v e.pexp_loc
           | [ _; "set_link" ], [ (_, node); _; (_, v) ] ->
-              handle_store (link_of node) v e.pexp_loc
+              handle_store (node_field "link" node) v e.pexp_loc
           | [ _; "cas_link" ], [ (_, node); _; _; (_, v) ] ->
-              handle_store (link_of node) v e.pexp_loc
+              handle_store (node_field "link" node) v e.pexp_loc
+          | [ _; "set_key" ], [ (_, node); _; (_, v) ] ->
+              handle_store (node_field "key" node) v e.pexp_loc
           | _ -> ())
       | Pexp_let (_, vbs, body) ->
           List.iter
@@ -719,18 +724,37 @@ let l5_reachability ctx =
 (* L1 on record declarations                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A field of type [_ M.link] (any single-module qualifier). *)
-let is_link (l : label_declaration) =
+(* A field of type [_ M.link] or [_ M.key] (any single-module
+   qualifier). *)
+let is_backend_type name (l : label_declaration) =
   match l.pld_type.ptyp_desc with
-  | Ptyp_constr ({ txt = Ldot (Lident _, "link"); _ }, [ _ ]) -> true
+  | Ptyp_constr ({ txt = Ldot (Lident _, n); _ }, [ _ ]) -> String.equal n name
   | _ -> false
 
-(* The fields of one record or inline record: no mutable field, and at
-   most one link, in first position (the real backends reach it as
-   field 0 of the node's block). *)
+let is_link = is_backend_type "link"
+let is_key = is_backend_type "key"
+
+(* The fields of one record or inline record: no mutable field; at most
+   one link, in first position (the real backends reach it as field 0 of
+   the node's block); at most one key, and in a record with a link the
+   key is field 1, where the real [set_key] writes.  A record without a
+   link (a tail, a skip-list or tree node) is never recycled, so its key
+   may sit anywhere. *)
 let l1_labels ctx labels =
+  let has_link = List.exists is_link labels in
   List.iteri
     (fun i l ->
+      if is_key l then begin
+        if List.exists is_key (List.filteri (fun j _ -> j < i) labels) then
+          report ctx Finding.L1 l.pld_loc
+            (Printf.sprintf "second key '%s' in one record (a node has one key)" l.pld_name.txt)
+        else if has_link && i <> 1 then
+          report ctx Finding.L1 l.pld_loc
+            (Printf.sprintf
+               "key field '%s' is not field 1, right after the link (the real backends' \
+                set_key writes field 1)"
+               l.pld_name.txt)
+      end;
       if l.pld_mutable = Asttypes.Mutable then
         report ctx Finding.L1 l.pld_loc
           (Printf.sprintf "mutable record field '%s' (shared state must be an M.cell)"

@@ -62,6 +62,8 @@ let deref_ops =
     "get_link";
     "set_link";
     "cas_link";
+    "get_key";
+    "set_key";
     "lock";
     "unlock";
     "try_lock";

@@ -30,14 +30,14 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "fomitchev-ruppert"
 
   type node =
-    | Node of { succ : link M.link; key : int M.cell; backlink : node M.cell }
-    | Tail of { key : int M.cell }
+    | Node of { succ : link M.link; key : int M.key; backlink : node M.cell }
+    | Tail of { key : int M.key }
 
   and link = Live of node | Marked of node | Flagged of node
 
   type t = { head : node }
 
-  let node_key = function Node n -> M.get n.key | Tail n -> M.get n.key
+  let node_key = function Node n -> M.get_key n.key | Tail n -> M.get_key n.key
   (* The successor field is each [Node]'s first field, an [M.link]; the
      tail has none, so every link access checks its node with [linked]. *)
   let succ_of = function Node n -> n.succ | Tail _ -> assert false
@@ -66,7 +66,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let build nm ~line key next back =
     let backlink = M.field nm ".back" ~line back in
     let succ = M.link nm ".next" ~line (Live next) in
-    Node { succ; key = M.field nm ".val" ~line key; backlink }
+    Node { succ; key = M.key nm ".val" ~line key; backlink }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node key next back =
@@ -78,7 +78,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail = Tail { key = M.field tn ".val" ~line:tl max_int } in
+    let tail = Tail { key = M.key tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     (* The head is never marked, so its backlink is never followed. *)
@@ -213,7 +213,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             | Live s | Flagged s -> (s, false)
             | Marked s -> (s, true)
           in
-          let v = M.get n.key in
+          let v = M.get_key n.key in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not marked in
@@ -234,10 +234,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.key = max_int then Ok ()
+            if M.get_key n.key = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let v = M.get n.key in
+            let v = M.get_key n.key in
             let succ, marked =
               match M.get_link node succ_of with
               | Live s | Flagged s -> (s, false)
@@ -252,6 +252,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else loop v succ (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.key = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.key = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

@@ -23,8 +23,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   module C = Vbl_obs.Metrics
 
   type node =
-    | Node of { amr : pair M.link; value : int M.cell }
-    | Tail of { value : int M.cell }
+    | Node of { amr : pair M.link; value : int M.key }
+    | Tail of { value : int M.key }
 
   (* The AtomicMarkableReference payload: immutable, one allocation per
      link-state change, on its own coherence line.  On the real backend
@@ -40,30 +40,31 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   (* The AMR cell is each [Node]'s first field, an [M.link]; the tail has
      none, so every link access checks its node with [linked]. *)
   let amr_of = function Node n -> n.amr | Tail _ -> assert false
+  let key_of = function Node n -> n.value | Tail _ -> assert false
   let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   let make_pair next marked = { p_next = next; p_marked = marked; p_line = M.fresh_line () }
 
   (* Names are only built for instrumented backends ([M.named]); on the
-     real backend an insert allocates exactly the node, its value cell and
-     the AMR pair the variant is defined by.  The link (and its pair's
-     line) is made before the value cell, the order the instrumented
+     real backend an insert allocates exactly the node (its key is a field
+     of it) and the AMR pair the variant is defined by.  The link (and its
+     pair's line) is made before the key, the order the instrumented
      backends number their lines and shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
     let amr = M.link nm ".amr" ~line (make_pair next false) in
-    Node { amr; value = M.field nm ".val" ~line value }
+    Node { amr; value = M.key nm ".val" ~line value }
 
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
+    let tail = Tail { value = M.key tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     let amr = M.link hn ".amr" ~line:hl (make_pair tail false) in
-    let head = Node { amr; value = M.field hn ".val" ~line:hl min_int } in
+    let head = Node { amr; value = M.key hn ".val" ~line:hl min_int } in
     (* The head sentinel doubles as the pool's miss sentinel: it can never
        be retired. *)
     { head; pool = M.make_pool ~dummy:head }
@@ -72,18 +73,18 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     if v = min_int || v = max_int then
       invalid_arg "list-based set: key must be strictly between min_int and max_int"
 
-  (* Reclaiming insert path: reuse an aged-out node's record and cells; a
-     recycled insert still allocates its AMR pair (the pair is immutable
-     by design — it is what the CAS swaps), so recycling saves the node
-     record and both cells but not the pair.  Miss check is one physical
+  (* Reclaiming insert path: reuse an aged-out node, rewriting its key in
+     place; a recycled insert still allocates its AMR pair (the pair is
+     immutable by design — it is what the CAS swaps), so recycling saves
+     the node but not the pair.  Miss check is one physical
      comparison against the head sentinel. *)
   let recycle_node t v next =
     let x = M.recycle t.pool in
     if x == t.head then make_node v next
     else begin
       (match x with
-      | Node n ->
-          M.set n.value v;
+      | Node _ ->
+          M.set_key x key_of v;
           M.set_link x amr_of (make_pair next false)
       | Tail _ -> assert false);
       x
@@ -132,7 +133,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
           end
         end
         else begin
-          let cv = M.get n.value in
+          let cv = M.get_key n.value in
           if cv >= v then begin
             if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
             (prev, prev_pair, curr, cv)
@@ -223,7 +224,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     | Node n ->
         let pair = M.get_link curr amr_of in
         if M.named then M.touch ~line:pair.p_line ~name:"pair";
-        let cv = M.get n.value in
+        let cv = M.get_key n.value in
         if cv < v then contains_walk v pair.p_next (hops + 1)
         else begin
           if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
@@ -254,7 +255,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       | Tail _ -> acc
       | Node n ->
           let pair = M.get_link node amr_of in
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not pair.p_marked in
@@ -287,10 +288,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value = max_int then Ok ()
+            if M.get_key n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             let pair = M.get_link node amr_of in
             (* Marked nodes may legitimately remain linked (deferred
                unlinking), but sortedness must hold across them. *)
@@ -299,6 +300,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else loop v pair.p_next (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

@@ -20,8 +20,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   module C = Vbl_obs.Metrics
 
   type node =
-    | Node of { link : link M.link; value : int M.cell }
-    | Tail of { value : int M.cell }
+    | Node of { link : link M.link; value : int M.key }
+    | Tail of { value : int M.key }
 
   (* [Live succ] — this node is present, successor is [succ].
      [Marked succ] — this node is logically deleted; same successor. *)
@@ -35,23 +35,23 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   (* Names are only built for instrumented backends ([M.named]).  The
-     link is made before the value cell, the order the instrumented
-     backends number their shadows in. *)
+     link is made before the key, the order the instrumented backends
+     number their shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
     let link = M.link nm ".next" ~line (Live next) in
-    Node { link; value = M.field nm ".val" ~line value }
+    Node { link; value = M.key nm ".val" ~line value }
 
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
+    let tail = Tail { value = M.key tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     let link = M.link hn ".next" ~line:hl (Live tail) in
-    let head = Node { link; value = M.field hn ".val" ~line:hl min_int } in
+    let head = Node { link; value = M.key hn ".val" ~line:hl min_int } in
     { head }
 
   let check_key v =
@@ -89,7 +89,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
               find t v
             end
         | Live succ as curr_link ->
-            let cv = M.get n.value in
+            let cv = M.get_key n.value in
             if cv >= v then begin
               if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
               (prev, prev_link, curr, cv)
@@ -148,7 +148,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     | Node n -> begin
         match M.get_link curr link_of with
         | Live succ ->
-            let cv = M.get n.value in
+            let cv = M.get_key n.value in
             if cv < v then contains_walk v succ (hops + 1)
             else begin
               if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
@@ -156,7 +156,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             end
         | Marked succ ->
             (* A marked node is absent whatever its value. *)
-            let cv = M.get n.value in
+            let cv = M.get_key n.value in
             if cv < v then contains_walk v succ (hops + 1)
             else begin
               if !Probe.enabled then Probe.add C.Traversal_steps (hops + 1);
@@ -178,7 +178,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       | Tail _ -> acc
       | Node n ->
           let succ, marked = link_parts (M.get_link node link_of) in
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not marked in
@@ -199,16 +199,16 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value = max_int then Ok ()
+            if M.get_key n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
             let succ, _ = link_parts (M.get_link node link_of) in
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else loop v succ (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

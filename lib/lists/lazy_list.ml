@@ -22,20 +22,23 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   type node =
     | Node of {
         next : node M.link;
-        value : int M.cell;
+        value : int M.key;
         marked : bool M.cell;
         lock : M.lock;
       }
-    | Tail of { value : int M.cell; marked : bool M.cell; lock : M.lock }
+    | Tail of { lock : M.lock; value : int M.key; marked : bool M.cell }
 
   type t = { head : node; pool : node M.pool }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  (* The tail keeps its key and mark at a node's field indices, so
+     reading either makes no tag test. *)
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_marked = function Node n -> M.get n.marked | Tail n -> M.get n.marked
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
   (* The successor is each [Node]'s first field, an [M.link]; the tail
      has none, so every link access checks its node with [linked]. *)
   let next_of = function Node n -> n.next | Tail _ -> assert false
+  let key_of = function Node n -> n.value | Tail _ -> assert false
   let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   (* Names are only built for instrumented backends ([M.named]); on the
@@ -49,19 +52,19 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let lock = M.field_lock nm ".lock" ~line () in
     let marked = M.field nm ".del" ~line false in
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.field nm ".val" ~line value; marked; lock }
+    Node { next; value = M.key nm ".val" ~line value; marked; lock }
 
   let make_sentinel value =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     ( line,
-      M.field nm ".val" ~line value,
+      M.key nm ".val" ~line value,
       M.field nm ".del" ~line false,
       M.field_lock nm ".lock" ~line () )
 
   let create () =
     let _, tv, tm, tlk = make_sentinel max_int in
-    let tail = Tail { value = tv; marked = tm; lock = tlk } in
+    let tail = Tail { lock = tlk; value = tv; marked = tm } in
     let hl, hv, hm, hlk = make_sentinel min_int in
     let hn = if M.named then Naming.head else "" in
     let next = M.link hn ".next" ~line:hl tail in
@@ -93,7 +96,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     else begin
       (match x with
       | Node n ->
-          M.set n.value v;
+          M.set_key x key_of v;
           M.set_link x next_of next;
           M.set n.marked false
       | Tail _ -> assert false);
@@ -220,7 +223,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n ->
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not (M.get n.marked) in
@@ -253,11 +256,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value <> max_int then Error "tail sentinel does not store max_int"
+            if M.get_key n.value <> max_int then Error "tail sentinel does not store max_int"
             else if M.get n.marked then Error "tail sentinel is marked"
             else Ok ()
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else if steps > 0 && M.get n.marked then
@@ -266,6 +269,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

@@ -12,12 +12,12 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "optimistic"
 
   type node =
-    | Node of { next : node M.link; value : int M.cell; lock : M.lock }
-    | Tail of { value : int M.cell; lock : M.lock }
+    | Node of { next : node M.link; value : int M.key; lock : M.lock }
+    | Tail of { value : int M.key; lock : M.lock }
 
   type t = { head : node }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
   (* The successor is each [Node]'s first field, an [M.link]; the tail
      has none, so every link access checks its node with [linked]. *)
@@ -29,7 +29,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let build nm ~line value next =
     let lock = M.field_lock nm ".lock" ~line () in
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.field nm ".val" ~line value; lock }
+    Node { next; value = M.key nm ".val" ~line value; lock }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
@@ -43,7 +43,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tn = if M.named then Naming.tail else "" in
     let tail =
       Tail
-        { value = M.field tn ".val" ~line:tl max_int; lock = M.field_lock tn ".lock" ~line:tl () }
+        { value = M.key tn ".val" ~line:tl max_int; lock = M.field_lock tn ".lock" ~line:tl () }
     in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
@@ -115,7 +115,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n ->
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let acc = if lo <= v && v <> min_int then f acc v else acc in
@@ -135,15 +135,15 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value = max_int then Ok ()
+            if M.get_key n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

@@ -12,14 +12,14 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let name = "sequential"
 
   type node =
-    | Node of { next : node M.link; value : int M.cell }
-    | Tail of { value : int M.cell }
+    | Node of { next : node M.link; value : int M.key }
+    | Tail of { value : int M.key }
 
   type t = { head : node }
 
   let node_value = function
-    | Node n -> M.get n.value
-    | Tail n -> M.get n.value
+    | Node n -> M.get_key n.value
+    | Tail n -> M.get_key n.value
 
   (* The successor is each [Node]'s first field, an [M.link]; the tail
      has none (traversals stop at its +inf value), so every link access
@@ -28,23 +28,23 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   (* Names are only built for instrumented backends ([M.named]).  The
-     link is made before the value cell, the order the instrumented
-     backends number their shadows in. *)
+     link is made before the key, the order the instrumented backends
+     number their shadows in. *)
   let make_node value next =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.field nm ".val" ~line value }
+    Node { next; value = M.key nm ".val" ~line value }
 
   let create () =
     let tail_line = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail = Tail { value = M.field tn ".val" ~line:tail_line max_int } in
+    let tail = Tail { value = M.key tn ".val" ~line:tail_line max_int } in
     let head_line = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     let next = M.link hn ".next" ~line:head_line tail in
-    let head = Node { next; value = M.field hn ".val" ~line:head_line min_int } in
+    let head = Node { next; value = M.key hn ".val" ~line:head_line min_int } in
     { head }
 
   let check_key v =
@@ -95,7 +95,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n ->
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let acc = if lo <= v && v <> min_int then f acc v else acc in
@@ -115,15 +115,15 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value = max_int then Ok ()
+            if M.get_key n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && not (v = min_int && steps = 0) then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

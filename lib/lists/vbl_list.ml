@@ -33,20 +33,24 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   type node =
     | Node of {
         next : node M.link;
-        value : int M.cell;
+        value : int M.key;
         deleted : bool M.cell;
         lock : M.lock;
       }
-    | Tail of { value : int M.cell; deleted : bool M.cell; lock : M.lock }
+    | Tail of { lock : M.lock; value : int M.key; deleted : bool M.cell }
 
   type t = { head : node; pool : node M.pool }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  (* The tail keeps its key and flag at a node's field indices, so
+     reading either makes no tag test. *)
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
   (* The successor is each [Node]'s first field, an [M.link]; the tail
-     has none, so every link access checks its node with [linked]. *)
+     has none, so every link access checks its node with [linked].  The
+     key is the field after it, rewritten only on a recycled node. *)
   let next_of = function Node n -> n.next | Tail _ -> assert false
+  let key_of = function Node n -> n.value | Tail _ -> assert false
   let[@inline] linked = function Node _ as n -> n | Tail _ -> assert false
 
   (* A node's cells are made lock first and value last, the order the
@@ -55,7 +59,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let lock = M.field_lock nm ".lock" ~line () in
     let deleted = M.field nm ".del" ~line false in
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.field nm ".val" ~line value; deleted; lock }
+    Node { next; value = M.key nm ".val" ~line value; deleted; lock }
 
   (* Names are only built for instrumented backends ([M.named]); on the
      real backend an insert allocates exactly the node and its cells. *)
@@ -68,14 +72,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail =
-      Tail
-        {
-          value = M.field tn ".val" ~line:tl max_int;
-          deleted = M.field tn ".del" ~line:tl false;
-          lock = M.field_lock tn ".lock" ~line:tl ();
-        }
-    in
+    let lock = M.field_lock tn ".lock" ~line:tl () in
+    let deleted = M.field tn ".del" ~line:tl false in
+    let tail = Tail { lock; value = M.key tn ".val" ~line:tl max_int; deleted } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     let head = build hn ~line:hl min_int tail in
@@ -137,9 +136,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     end
 
   (* Reclaiming insert path: serve the node from the free-list when some
-     retired node's grace period has passed, reinitializing its cells in
-     place (it is unreachable, so the order of the three stores is
-     irrelevant and its lock is long released); allocate fresh on a miss.
+     retired node's grace period has passed, reinitializing its key, link
+     and flag in place (it is unreachable, so the order of the three
+     stores is irrelevant and its lock is long released); allocate fresh
+     on a miss.
      The miss check is one physical comparison against the head sentinel
      — never an option, which would allocate under [@hot]. *)
   let[@hot] recycle_node t v next =
@@ -148,7 +148,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     else begin
       (match x with
       | Node n ->
-          M.set n.value v;
+          M.set_key x key_of v;
           M.set_link x next_of next;
           M.set n.deleted false
       | Tail _ -> assert false);
@@ -288,7 +288,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n ->
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
@@ -321,11 +321,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value <> max_int then Error "tail sentinel does not store max_int"
+            if M.get_key n.value <> max_int then Error "tail sentinel does not store max_int"
             else if M.get n.deleted then Error "tail sentinel is marked deleted"
             else Ok ()
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else if steps > 0 && M.get n.deleted then
@@ -337,6 +337,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

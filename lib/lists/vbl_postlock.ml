@@ -17,15 +17,15 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   type node =
     | Node of {
         next : node M.link;
-        value : int M.cell;
+        value : int M.key;
         deleted : bool M.cell;
         lock : M.lock;
       }
-    | Tail of { value : int M.cell; deleted : bool M.cell; lock : M.lock }
+    | Tail of { value : int M.key; deleted : bool M.cell; lock : M.lock }
 
   type t = { head : node }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
   (* The successor is each [Node]'s first field, an [M.link]; the tail
@@ -43,13 +43,13 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let lock = M.field_lock nm ".lock" ~line () in
     let deleted = M.field nm ".del" ~line false in
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.field nm ".val" ~line value; deleted; lock }
+    Node { next; value = M.key nm ".val" ~line value; deleted; lock }
 
   let make_sentinel value =
     let line = M.fresh_line () in
     let nm = if M.named then Naming.node value else "" in
     ( line,
-      M.field nm ".val" ~line value,
+      M.key nm ".val" ~line value,
       M.field nm ".del" ~line false,
       M.field_lock nm ".lock" ~line () )
 
@@ -125,19 +125,22 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     attempt t.head
 
+  (* A closed walk: a local loop over [v] would be a closure allocated
+     on every call. *)
+  let[@hot] rec contains_walk v curr =
+    if node_value curr < v then contains_walk v (M.get_link (linked curr) next_of)
+    else node_value curr = v
+
   let contains t v =
     check_key v;
-    let rec loop curr =
-      if node_value curr < v then loop (M.get_link (linked curr) next_of) else node_value curr = v
-    in
-    loop t.head
+    contains_walk v t.head
 
   let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n ->
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
@@ -158,11 +161,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value <> max_int then Error "tail sentinel does not store max_int"
+            if M.get_key n.value <> max_int then Error "tail sentinel does not store max_int"
             else if M.get n.deleted then Error "tail sentinel is marked deleted"
             else Ok ()
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else if steps > 0 && M.get n.deleted then
@@ -170,6 +173,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

@@ -21,16 +21,16 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   type node =
     | Node of {
         next : node M.link;
-        value : int M.cell;
+        value : int M.key;
         version : int M.cell;  (** bumped on every [next] write *)
         deleted : bool M.cell;
         lock : M.lock;
       }
-    | Tail of { value : int M.cell; deleted : bool M.cell; lock : M.lock }
+    | Tail of { value : int M.key; deleted : bool M.cell; lock : M.lock }
 
   type t = { head : node }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
   (* The successor is each [Node]'s first field, an [M.link]; the tail
@@ -59,7 +59,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let deleted = M.field nm ".del" ~line false in
     let version = M.field nm ".ver" ~line 0 in
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.field nm ".val" ~line value; version; deleted; lock }
+    Node { next; value = M.key nm ".val" ~line value; version; deleted; lock }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
@@ -74,7 +74,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let tail =
       Tail
         {
-          value = M.field tn ".val" ~line:tl max_int;
+          value = M.key tn ".val" ~line:tl max_int;
           deleted = M.field tn ".del" ~line:tl false;
           lock = M.field_lock tn ".lock" ~line:tl ();
         }
@@ -155,19 +155,22 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     in
     attempt t.head
 
+  (* A closed walk: a local loop over [v] would be a closure allocated
+     on every call. *)
+  let[@hot] rec contains_walk v curr =
+    if node_value curr < v then contains_walk v (M.get_link (linked curr) next_of)
+    else node_value curr = v
+
   let contains t v =
     check_key v;
-    let rec loop curr =
-      if node_value curr < v then loop (M.get_link (linked curr) next_of) else node_value curr = v
-    in
-    loop t.head
+    contains_walk v t.head
 
   let fold_range lo hi f init t =
     let rec loop acc node =
       match node with
       | Tail _ -> acc
       | Node n ->
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
@@ -188,11 +191,11 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value <> max_int then Error "tail sentinel does not store max_int"
+            if M.get_key n.value <> max_int then Error "tail sentinel does not store max_int"
             else if M.get n.deleted then Error "tail sentinel is marked deleted"
             else Ok ()
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)
             else if steps > 0 && M.get n.deleted then
@@ -200,6 +203,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             else loop v (M.get_link node next_of) (steps + 1)
     in
     match t.head with
-    | Node n when M.get n.value = min_int -> loop min_int t.head 0
+    | Node n when M.get_key n.value = min_int -> loop min_int t.head 0
     | _ -> Error "head sentinel does not store min_int"
 end

@@ -148,6 +148,16 @@ let set_link n next_of v = set (next_of n) v
 
 let cas_link n next_of expected desired = cas (next_of n) expected desired
 
+(* A key is likewise the named cell, reached through the family's
+   accessor when it is rewritten. *)
+type 'a key = 'a cell
+
+let key = field
+
+let get_key = get
+
+let set_key n key_of v = set (key_of n) v
+
 let touch ~line ~name = yield ~line ~name ~shadow:no_shadow Touch
 
 let new_node ~name ~line = yield ~line ~name ~shadow:no_shadow New_node

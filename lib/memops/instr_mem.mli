@@ -99,6 +99,18 @@ val set_link : 'n -> ('n -> 'a link) -> 'a -> unit
 
 val cas_link : 'n -> ('n -> 'a link) -> 'a -> 'a -> bool
 
+type 'a key
+
+val key : string -> string -> line:int -> 'a -> 'a key
+(** [key node suffix] is [field node suffix]: an instrumented key is a
+    named cell. *)
+
+val get_key : 'a key -> 'a
+(** [get_key k] is [get k], and [set_key n key_of v] is
+    [set (key_of n) v]. *)
+
+val set_key : 'n -> ('n -> 'a key) -> 'a -> unit
+
 val last_cas_result : bool ref
 (** Result of the most recent [cas] or [try_lock], readable by the
     scheduler that resumed it (schedule scripts distinguish effective

@@ -9,23 +9,26 @@ module _ : Mem_intf.S = Instr_mem
    as a functor over {!Mem_intf.S}, must leave the same abstract set
    behind on both backends.  The workload is a miniature sorted
    singly-linked set exercising every primitive of the signature — link,
-   get_link, set_link and cas_link (taken and failed) on nodes whose
-   first field is their successor link, as the list families lay them
-   out; get, set and cas (taken and failed) on cells; touch, new_node,
+   get_link, set_link and cas_link (taken and failed), and key, get_key
+   and set_key (a node recycled under a new key), on nodes whose first
+   field is their successor link and whose second is their key, as the
+   list families lay them out; get, set and cas (taken and failed) on
+   cells; touch, new_node,
    field, try_lock on a make_lock and a field_lock, blocking lock/unlock
    — so a backend whose primitive semantics drift (a cas that
-   misreports, a set that is lost, a link read from the wrong field,
-   lock state leaking between operations) produces a visible set
+   misreports, a set that is lost, a link or key read or written at the
+   wrong field, lock state leaking between operations) produces a visible set
    difference rather than a subtle downstream failure.  [Instr_mem] runs
    it under [run_sequential]; [Real_mem] runs it directly on a single
    domain — both are sequential executions of the same program, so the
    results must agree exactly. *)
 
 module Parity_workload (M : Mem_intf.S) = struct
-  type node = Nil | Node of { next : node M.link; value : int M.cell }
+  type node = Nil | Node of { next : node M.link; value : int M.key }
 
   (* [Nil] has no link: every link access checks its node first. *)
   let next_of = function Node n -> n.next | Nil -> assert false
+  let key_of = function Node n -> n.value | Nil -> assert false
   let linked = function Node _ as n -> n | Nil -> assert false
   let next n = M.get_link (linked n) next_of
 
@@ -35,10 +38,10 @@ module Parity_workload (M : Mem_intf.S) = struct
     if M.named then M.new_node ~name:nm ~line;
     let rec walk prev =
       match next prev with
-      | Node { value; _ } as curr when M.get value < v -> walk curr
-      | Node { value; _ } when M.get value = v -> false
+      | Node { value; _ } as curr when M.get_key value < v -> walk curr
+      | Node { value; _ } when M.get_key value = v -> false
       | at ->
-          let value = M.field nm ".val" ~line v in
+          let value = M.key nm ".val" ~line v in
           M.cas_link (linked prev) next_of at (Node { next = M.link nm ".next" ~line at; value })
     in
     walk head
@@ -46,18 +49,37 @@ module Parity_workload (M : Mem_intf.S) = struct
   let remove head v =
     let rec walk prev =
       match next prev with
-      | Node { value; _ } as curr when M.get value < v -> walk curr
-      | Node { value; _ } as curr when M.get value = v ->
+      | Node { value; _ } as curr when M.get_key value < v -> walk curr
+      | Node { value; _ } as curr when M.get_key value = v ->
           M.set_link (linked prev) next_of (next curr);
           true
       | _ -> false
     in
     walk head
 
+  (* Recycle the first node under the key [v], as the reclaiming inserts
+     do: unlink it, rewrite its key and link while it is unreachable,
+     then publish it at [v]'s place.  Dropped if [v] is present. *)
+  let rekey head v =
+    match next head with
+    | Nil -> false
+    | Node _ as x ->
+        M.set_link head next_of (next x);
+        let rec walk prev =
+          match next prev with
+          | Node { value; _ } as curr when M.get_key value < v -> walk curr
+          | Node { value; _ } when M.get_key value = v -> false
+          | at ->
+              M.set_key x key_of v;
+              M.set_link x next_of at;
+              M.cas_link (linked prev) next_of at x
+        in
+        walk head
+
   let to_list head =
     let rec go acc = function
       | Nil -> List.rev acc
-      | Node { value; _ } as n -> go (M.get value :: acc) (next n)
+      | Node { value; _ } as n -> go (M.get_key value :: acc) (next n)
     in
     go [] (next head)
 
@@ -66,7 +88,7 @@ module Parity_workload (M : Mem_intf.S) = struct
      primitives. *)
   let run () =
     let line = M.fresh_line () in
-    let value = M.make ~name:"p.min" ~line 0 in
+    let value = M.key "p" ".min" ~line 0 in
     let head = Node { next = M.link "p" ".head" ~line Nil; value } in
     M.touch ~line ~name:"p.touch";
     let lock = M.make_lock ~name:"p.lock" ~line () in
@@ -100,6 +122,8 @@ module Parity_workload (M : Mem_intf.S) = struct
     record "field-trylock-held" 0 (M.try_lock node_lock);
     M.unlock node_lock;
     record "remove" 9 (remove head 9);
+    record "rekey" 8 (rekey head 8);
+    record "rekey" 5 (rekey head 5);
     (to_list head, List.rev !log)
 end
 

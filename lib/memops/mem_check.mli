@@ -4,8 +4,8 @@
     module constraints, exporting nothing).
 
     Runtime: {!check_parity} pushes one mixed workload — covering every
-    primitive of the signature, links included, on nodes whose first field
-    is their successor link — through {!Real_mem} and {!Instr_mem} (the
+    primitive of the signature, links and keys included, on nodes whose
+    first field is their successor link and second their key — through {!Real_mem} and {!Instr_mem} (the
     latter under [run_sequential]) and diffs the resulting abstract sets
     and per-operation results. *)
 

@@ -20,7 +20,13 @@
     list node share the node's line, mirroring the fact that a node's
     [val]/[next]/[deleted]/lock metadata share a cache line on the paper's
     testbeds.  The real backend ignores lines and names entirely, and
-    keeps a list node's successor ({!S.link}) in the node's own block. *)
+    keeps a list node's successor ({!S.link}) and its key ({!S.key}) in
+    the node's own block.
+
+    Node layout, the contract every list node follows and lint rule L1
+    checks: field 0 of a node is its link and field 1 its key.  A record
+    that holds no link (a tail, a skip-list or tree node) may hold a key
+    anywhere, for nothing ever rewrites it. *)
 
 module type S = sig
   type 'a cell
@@ -86,6 +92,36 @@ module type S = sig
 
   val cas_link : 'n -> ('n -> 'a link) -> 'a -> 'a -> bool
   (** Compare-and-set on physical equality, as {!cas}. *)
+
+  type 'a key
+  (** A node's key: the value every hop of a traversal compares.  The
+      contract, which lint rule L1 checks on every record that holds one:
+
+      - in a record that holds a link, the key is field 1, right after
+        the link, and a record has at most one key;
+      - it is written by the store that allocates the node and afterwards
+        only by {!set_key}, on a node no thread can reach: a recycled node
+        before the {!set_link} that republishes it.
+
+      The real backends store the key itself in that field, so reading it
+      is one load from the node, and {!set_key} is a plain store to field
+      1 of the node's block.  A plain store is enough: the node is
+      unreachable until the atomic {!set_link} that republishes it, and
+      that store orders the key write before any reader's load of the
+      node.  Instrumented backends keep the named cell {!field} makes, so
+      a key read is the same step, name, line and shadow as a cell
+      read. *)
+
+  val key : string -> string -> line:int -> 'a -> 'a key
+  (** [key node suffix ~line v] is {!field} for a node's key. *)
+
+  val get_key : 'a key -> 'a
+
+  val set_key : 'n -> ('n -> 'a key) -> 'a -> unit
+  (** [set_key n key_of v] rewrites the key of node [n], as {!set_link}
+      rewrites its link; [key_of] is the family's accessor for the key
+      field.  The real backends do not call it: they write field 1 of
+      [n]'s block, so [n] must be a node whose key is field 1. *)
 
   val make_padded : ?name:string -> line:int -> 'a -> 'a cell
   (** Like {!make}, but the real backend places the cell on its own cache

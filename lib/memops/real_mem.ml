@@ -5,8 +5,8 @@
     [named = false]: algorithms skip name construction entirely, and
     {!field}/{!field_lock} ignore the node name and suffix they are
     handed, so a node's creation allocates exactly its cells and nothing
-    else; a list node's successor ({!link}) is a field of the node itself,
-    not a cell.  The accessors are [@inline]-annotated single primitives.
+    else; a node's successor ({!link}) and key ({!key}) are fields of the
+    node itself, not cells.  The accessors are [@inline]-annotated single primitives.
     The registry sets are build-time instances with [M] bound to this module
     statically (lib/*/specialised), so even classic ocamlopt inlines the
     accessors into their traversals; code that applies a functor to this
@@ -39,6 +39,18 @@ let[@inline] set_link n _ v = Atomic.set (as_atomic n) v
 
 let[@inline] cas_link n _ expected desired =
   Atomic.compare_and_set (as_atomic n) expected desired
+
+(* A key is the value itself, field 1 of its node's block: a hop reads it
+   with one load.  Only a recycled node's key is ever rewritten, before
+   the node is republished, so [set_key] stores field 1 in place; the
+   accessor [key_of] goes unused. *)
+type 'a key = 'a
+
+let[@inline] key _ _ ~line:_ v = v
+
+let[@inline] get_key k = k
+
+let[@inline] set_key n _ v = Obj.set_field (Obj.repr n) 1 (Obj.repr v)
 
 (* A padded cell spans a whole cache line, so striped counters written by
    different domains never invalidate each other's lines.  Cold path only

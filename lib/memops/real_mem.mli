@@ -1,6 +1,6 @@
 (** The production memory backend: cells are [Atomic.t], a list node's
     successor link is the node's first field (accessed atomically in
-    place), locks are CAS try-locks with exponential backoff,
+    place) and its key the second (a plain int), locks are CAS try-locks with exponential backoff,
     instrumentation hooks are no-ops.
     See {!Mem_intf.S} for the contract. *)
 

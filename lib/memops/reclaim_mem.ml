@@ -7,9 +7,9 @@
     recycle into later inserts through a per-domain free-list
     ([Vbl_reclaim.Pool]).  In OCaml nothing is ever freed behind the GC's
     back — what the grace period buys is the safety of {e reinitializing}
-    a node (new value, new successor) without a concurrent traversal
+    a node (new key, new successor) without a concurrent traversal
     observing the change, plus the allocation win: a free-list hit costs
-    an insert 0 fresh words instead of an 11-word node. *)
+    an insert 0 fresh words instead of a 9-word node. *)
 
 include Real_mem
 

@@ -15,17 +15,17 @@ end = struct
 
   type node =
     | Node of {
-        value : int M.cell;
+        value : int M.key;
         next : node M.cell array;  (** length = tower height *)
         marked : bool M.cell;
         fully_linked : bool M.cell;
         lock : M.lock;
       }
-    | Tail of { value : int M.cell }
+    | Tail of { value : int M.key }
 
   type t = { head : node; levels : Vbl_util.Level_gen.t }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_marked = function Node n -> M.get n.marked | Tail _ -> false
   let node_fully_linked = function Node n -> M.get n.fully_linked | Tail _ -> true
   let node_lock = function Node n -> n.lock | Tail _ -> assert false
@@ -56,7 +56,7 @@ end = struct
     if M.named then M.new_node ~name:nm ~line;
     Node
       {
-        value = M.field nm ".val" ~line value;
+        value = M.key nm ".val" ~line value;
         next = tower nm ~line succs top_level;
         marked = M.field nm ".del" ~line false;
         fully_linked = M.field nm ".linked" ~line false;
@@ -83,6 +83,18 @@ end = struct
       succs.(level) <- !curr
     done;
     !lfound
+
+  (* [contains] makes [find]'s reads, level by level, without filling
+     search arrays it would not read: [found] is the node met at the
+     highest level holding [v] ([succs.(lfound)] to [find]), or [t.head]
+     while there is none, as no key equals the head's. *)
+  let[@hot] rec contains_walk t v level pred curr found =
+    if node_value curr < v then contains_walk t v level curr (M.get (next_cell curr level)) found
+    else begin
+      let found = if found == t.head && node_value curr = v then curr else found in
+      if level = 0 then found
+      else contains_walk t v (level - 1) pred (M.get (next_cell pred (level - 1))) found
+    end
 
   (* A predecessor may appear at several consecutive levels; lock/unlock
      each distinct node once.  A repeat is the node one level down, so
@@ -211,13 +223,13 @@ end = struct
     let create () =
       let tl = M.fresh_line () in
       let tn = if M.named then Vbl_lists.Naming.tail else "" in
-      let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
+      let tail = Tail { value = M.key tn ".val" ~line:tl max_int } in
       let hl = M.fresh_line () in
       let hn = if M.named then Vbl_lists.Naming.head else "" in
       let head =
         Node
           {
-            value = M.field hn ".val" ~line:hl min_int;
+            value = M.key hn ".val" ~line:hl min_int;
             next =
               Array.init max_level (fun lvl ->
                   M.field hn (if M.named then ".next" ^ string_of_int lvl else "") ~line:hl tail);
@@ -230,18 +242,16 @@ end = struct
 
     let contains t v =
       check_key v;
-      let preds = Array.make max_level t.head and succs = Array.make max_level t.head in
-      let lfound = find t v preds succs in
-      lfound <> -1
-      && node_fully_linked succs.(lfound)
-      && not (node_marked succs.(lfound))
+      let top = max_level - 1 in
+      let found = contains_walk t v top t.head (M.get (next_cell t.head top)) t.head in
+      found != t.head && node_fully_linked found && not (node_marked found)
 
     let fold_range lo hi f init t =
       let rec loop acc node =
         match node with
         | Tail _ -> acc
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if v > hi then acc
             else
               let keep =
@@ -285,7 +295,7 @@ end = struct
               if not (List.memq node !bottom) then
                 Error
                   (Printf.sprintf "level %d: node %d not present at bottom level" level
-                     (M.get n.value))
+                     (M.get_key n.value))
               else check_upper level (M.get n.next.(level))
         in
         every_level 1 (fun level -> check_upper level t.head)
@@ -297,10 +307,10 @@ end = struct
         else
           match node with
           | Tail n ->
-              if M.get n.value = max_int then Ok ()
+              if M.get_key n.value = max_int then Ok ()
               else Error "tail sentinel does not store max_int"
           | Node n ->
-              let v = M.get n.value in
+              let v = M.get_key n.value in
               if v <= last && steps > 0 then
                 Error (Printf.sprintf "level %d: values not strictly increasing at %d" level v)
               else if steps > 0 && M.get n.marked then

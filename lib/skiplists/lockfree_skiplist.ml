@@ -23,15 +23,15 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let max_level = Vbl_util.Level_gen.max_level
 
   type node =
-    | Node of { value : int M.cell; next : link M.cell array }
-    | Tail of { value : int M.cell }
+    | Node of { value : int M.key; next : link M.cell array }
+    | Tail of { value : int M.key }
 
   (* [Marked succ] in [n.next.(lvl)] means n is deleted at that level. *)
   and link = Live of node | Marked of node
 
   type t = { head : node; levels : Vbl_util.Level_gen.t }
 
-  let node_value = function Node n -> M.get n.value | Tail n -> M.get n.value
+  let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let height = function Node n -> Array.length n.next | Tail _ -> 0
 
   let link_cell node lvl =
@@ -57,18 +57,18 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let line = M.fresh_line () in
     let nm = if M.named then Vbl_lists.Naming.node value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Node { value = M.field nm ".val" ~line value; next = tower nm ~line succs top_level }
+    Node { value = M.key nm ".val" ~line value; next = tower nm ~line succs top_level }
 
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Vbl_lists.Naming.tail else "" in
-    let tail = Tail { value = M.field tn ".val" ~line:tl max_int } in
+    let tail = Tail { value = M.key tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Vbl_lists.Naming.head else "" in
     let head =
       Node
         {
-          value = M.field hn ".val" ~line:hl min_int;
+          value = M.key hn ".val" ~line:hl min_int;
           next =
             Array.init max_level (fun lvl ->
                 M.field hn
@@ -117,7 +117,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
                         else raise Retry
                     | Live _ | Marked _ -> raise Retry)
                 | Live succ as curr_link ->
-                    if M.get cn.value < v then begin
+                    if M.get_key cn.value < v then begin
                       pred := curr;
                       pred_link := curr_link;
                       walk succ
@@ -228,7 +228,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
                 curr := succ;
                 walk ()
             | Live succ ->
-                if M.get cn.value < v then begin
+                if M.get_key cn.value < v then begin
                   pred := !curr;
                   curr := succ;
                   walk ()
@@ -243,7 +243,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
       match node with
       | Tail _ -> acc
       | Node n -> (
-          let v = M.get n.value in
+          let v = M.get_key n.value in
           if v > hi then acc
           else
             match M.get n.next.(0) with
@@ -280,7 +280,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
             if not (List.memq node !bottom) then
               Error
                 (Printf.sprintf "level %d: node %d not present at bottom level" level
-                   (M.get n.value))
+                   (M.get_key n.value))
             else
               check_upper level (match M.get n.next.(level) with Live s | Marked s -> s)
       in
@@ -301,10 +301,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
       else
         match node with
         | Tail n ->
-            if M.get n.value = max_int then Ok ()
+            if M.get_key n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let v = M.get n.value in
+            let v = M.get_key n.value in
             if Array.length n.next <= level then
               Error (Printf.sprintf "level %d: node %d tower too short" level v)
             else begin

@@ -24,9 +24,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   module C = Vbl_obs.Metrics
 
   type node =
-    | Leaf of { value : int M.cell }
+    | Leaf of { value : int M.key }
     | Router of {
-        key : int M.cell;
+        key : int M.key;
         left : node M.cell;
         right : node M.cell;
         deleted : bool M.cell;
@@ -40,7 +40,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let line = M.fresh_line () in
     let nm = if M.named then Vbl_lists.Naming.leaf value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Leaf { value = M.field nm ".val" ~line value }
+    Leaf { value = M.key nm ".val" ~line value }
 
   let make_router key left right =
     let line = M.fresh_line () in
@@ -48,7 +48,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     if M.named then M.new_node ~name:nm ~line;
     Router
       {
-        key = M.field nm ".key" ~line key;
+        key = M.key nm ".key" ~line key;
         left = M.field nm ".left" ~line left;
         right = M.field nm ".right" ~line right;
         deleted = M.field nm ".del" ~line false;
@@ -65,12 +65,12 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
 
   let child_cell node v =
     match node with
-    | Router r -> if v < M.get r.key then r.left else r.right
+    | Router r -> if v < M.get_key r.key then r.left else r.right
     | Leaf _ -> assert false
 
   let router_lock = function Router r -> r.lock | Leaf _ -> assert false
   let router_deleted = function Router r -> M.get r.deleted | Leaf _ -> assert false
-  let leaf_value = function Leaf l -> M.get l.value | Router _ -> assert false
+  let leaf_value = function Leaf l -> M.get_key l.value | Router _ -> assert false
 
   (* Lock [node] and check it is live and still the parent of [expected]
      for value [v]; a lock counts once it passes this validation, and a
@@ -163,7 +163,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
              and p's children cannot change (needs p's lock). *)
           let sibling =
             match p with
-            | Router r -> if v < M.get r.key then M.get r.right else M.get r.left
+            | Router r -> if v < M.get_key r.key then M.get r.right else M.get r.left
             | Leaf _ -> assert false
           in
           (match p with Router r -> M.set r.deleted true | Leaf _ -> assert false);
@@ -200,10 +200,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let rec go acc node =
       match node with
       | Leaf l ->
-          let v = M.get l.value in
+          let v = M.get_key l.value in
           if lo <= v && v <= hi && v <> min_int && v <> max_int then f acc v else acc
       | Router r ->
-          let k = M.get r.key in
+          let k = M.get_key r.key in
           let acc = if lo < k then go acc (M.get r.left) else acc in
           if k <= hi then go acc (M.get r.right) else acc
     in
@@ -221,20 +221,20 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
       if depth > 1_000_000 then raise (Bad "descent did not terminate (cycle?)");
       match node with
       | Leaf l ->
-          let v = M.get l.value in
+          let v = M.get_key l.value in
           if not (lo <= v && v < hi) && not (v = max_int && hi = max_int) then
             raise (Bad (Printf.sprintf "leaf %d outside range [%d, %d)" v lo hi))
       | Router r ->
           if M.get r.deleted then raise (Bad "reachable deleted router");
           if M.lock_held r.lock then raise (Bad "router left locked");
-          let k = M.get r.key in
+          let k = M.get_key r.key in
           if k <= lo || k > hi then
             raise (Bad (Printf.sprintf "router key %d outside (%d, %d]" k lo hi));
           go (M.get r.left) lo k (depth + 1);
           go (M.get r.right) k hi (depth + 1)
     in
     match t.root with
-    | Router r when M.get r.key = max_int -> (
+    | Router r when M.get_key r.key = max_int -> (
         try
           go (M.get r.left) min_int max_int 0;
           Ok ()

@@ -18,9 +18,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let name = "sequential-bst"
 
   type node =
-    | Leaf of { value : int M.cell }
+    | Leaf of { value : int M.key }
     | Router of {
-        key : int M.cell;
+        key : int M.key;
         left : node M.cell;
         right : node M.cell;
         deleted : bool M.cell;
@@ -37,7 +37,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let line = M.fresh_line () in
     let nm = if M.named then Vbl_lists.Naming.leaf value else "" in
     if M.named then M.new_node ~name:nm ~line;
-    Leaf { value = M.field nm ".val" ~line value }
+    Leaf { value = M.key nm ".val" ~line value }
 
   let make_router key left right =
     let line = M.fresh_line () in
@@ -45,7 +45,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     if M.named then M.new_node ~name:nm ~line;
     Router
       {
-        key = M.field nm ".key" ~line key;
+        key = M.key nm ".key" ~line key;
         left = M.field nm ".left" ~line left;
         right = M.field nm ".right" ~line right;
         deleted = M.field nm ".del" ~line false;
@@ -64,10 +64,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   (* Which child does value [v] route to? *)
   let child_cell node v =
     match node with
-    | Router r -> if v < M.get r.key then r.left else r.right
+    | Router r -> if v < M.get_key r.key then r.left else r.right
     | Leaf _ -> assert false
 
-  let leaf_value = function Leaf l -> M.get l.value | Router _ -> assert false
+  let leaf_value = function Leaf l -> M.get_key l.value | Router _ -> assert false
 
   (* Each operation descends to the leaf [l] for [v] in a closed
      top-level recursion that carries the leaf's parent [p] (and, for a
@@ -110,7 +110,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
           (* Splice out parent [p]: its other child replaces it under [g]. *)
           let sibling =
             match p with
-            | Router r -> if v < M.get r.key then M.get r.right else M.get r.left
+            | Router r -> if v < M.get_key r.key then M.get r.right else M.get r.left
             | Leaf _ -> assert false
           in
           (match p with Router r -> M.set r.deleted true | Leaf _ -> assert false);
@@ -139,10 +139,10 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     let rec go acc node =
       match node with
       | Leaf l ->
-          let v = M.get l.value in
+          let v = M.get_key l.value in
           if lo <= v && v <= hi && v <> min_int && v <> max_int then f acc v else acc
       | Router r ->
-          let k = M.get r.key in
+          let k = M.get_key r.key in
           let acc = if lo < k then go acc (M.get r.left) else acc in
           if k <= hi then go acc (M.get r.right) else acc
     in
@@ -162,19 +162,19 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
       if depth > 1_000_000 then raise (Bad "descent did not terminate (cycle?)");
       match node with
       | Leaf l ->
-          let v = M.get l.value in
+          let v = M.get_key l.value in
           if not (lo <= v && v < hi) && not (v = max_int && hi = max_int) then
             raise (Bad (Printf.sprintf "leaf %d outside range [%d, %d)" v lo hi))
       | Router r ->
           if M.get r.deleted then raise (Bad "reachable deleted router");
-          let k = M.get r.key in
+          let k = M.get_key r.key in
           if k <= lo || k > hi then
             raise (Bad (Printf.sprintf "router key %d outside (%d, %d]" k lo hi));
           go (M.get r.left) lo k (depth + 1);
           go (M.get r.right) k hi (depth + 1)
     in
     match t.root with
-    | Router r when M.get r.key = max_int -> (
+    | Router r when M.get_key r.key = max_int -> (
         try
           go (M.get r.left) min_int max_int 0;
           Ok ()

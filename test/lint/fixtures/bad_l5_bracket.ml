@@ -1,5 +1,6 @@
 (* L5 fixture: epoch-bracket discipline in a reclaiming module (the file
-   applies M.op_enter/M.retire, so the rule arms).  [shielded],
+   applies M.op_enter/M.retire, so the rule arms); a key read or rewrite
+   is a dereference like a cell access.  [shielded],
    [unreclaiming_twin] and the [@quiescent] observer are negative
    controls and must stay clean. *)
 let deref_helper c = M.get c
@@ -34,3 +35,7 @@ let unreclaiming_twin t =
   else deref_helper t.head
 
 let[@quiescent] observer t = M.get t.head
+
+let unsafe_key t = M.get_key t.value
+
+let unsafe_rekey t v = M.set_key t key_of v

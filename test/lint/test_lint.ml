@@ -42,6 +42,11 @@ let l1_link () =
     [ ("L1", 6, 36); ("L1", 10, 36) ]
     (spans ~rules:[ F.L1 ] "bad_l1_link.ml")
 
+let l1_key () =
+  check_spans "a key away from field 1 beside a link, and a second key, flagged; field-1 keys clean"
+    [ ("L1", 7, 49); ("L1", 11, 55) ]
+    (spans ~rules:[ F.L1 ] "bad_l1_key.ml")
+
 let l2_naming () =
   check_spans
     "unguarded Naming mentions flagged, also as a field's node name; guarded and \
@@ -77,9 +82,10 @@ let l4_reclaim () =
 
 let l5_bracket () =
   check_spans
-    "unbracketed root deref, unsafe call to a touching helper, and a leaked bracket flagged; \
-     bracketed, unreclaiming-guarded and [@quiescent] shapes clean"
-    [ ("L5", 8, 10); ("L5", 9, 10); ("L5", 18, 7) ]
+    "unbracketed root deref (key reads and rewrites included), unsafe call to a touching \
+     helper, and a leaked bracket flagged; bracketed, unreclaiming-guarded and [@quiescent] \
+     shapes clean"
+    [ ("L5", 9, 10); ("L5", 10, 10); ("L5", 19, 7); ("L5", 39, 19); ("L5", 41, 23) ]
     (spans ~rules:[ F.L5 ] "bad_l5_bracket.ml")
 
 let l6_retire () =
@@ -100,6 +106,11 @@ let l7_link () =
   check_spans "a fresh node's link written after its publishing store flagged; link first clean"
     [ ("L7", 7, 4) ]
     (spans ~rules:[ F.L7 ] "bad_l7_link.ml")
+
+let l7_key () =
+  check_spans "a recycled node's key rewritten after its publishing store flagged; key first clean"
+    [ ("L7", 7, 4) ]
+    (spans ~rules:[ F.L7 ] "bad_l7_key.ml")
 
 let l7_version_mutant () =
   (* The PR 6 vbl_versioned bug shape, under every rule: the only
@@ -149,6 +160,7 @@ let () =
           Alcotest.test_case "L1 atomics" `Quick l1_atomics;
           Alcotest.test_case "L1 mutation" `Quick l1_mutation;
           Alcotest.test_case "L1 link layout" `Quick l1_link;
+          Alcotest.test_case "L1 key layout" `Quick l1_key;
           Alcotest.test_case "L2 naming" `Quick l2_naming;
           Alcotest.test_case "L3 lock pairing" `Quick l3_leak;
           Alcotest.test_case "L4 hot allocation" `Quick l4_hot;
@@ -160,6 +172,7 @@ let () =
           Alcotest.test_case "L6 retire/use" `Quick l6_retire;
           Alcotest.test_case "L7 publish order" `Quick l7_publish;
           Alcotest.test_case "L7 link publish order" `Quick l7_link;
+          Alcotest.test_case "L7 key publish order" `Quick l7_key;
           Alcotest.test_case "L7 version-first mutant" `Quick l7_version_mutant;
           Alcotest.test_case "clean reclaiming module" `Quick clean_reclaim;
         ] );

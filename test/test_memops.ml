@@ -9,6 +9,10 @@ module Instr = Vbl_memops.Instr_mem
    the field that a misplaced access would hit. *)
 type real_node = { succ : string Real.link; after : string }
 
+(* A key is its node's second field on the real backend; [first] and
+   [third] are the fields that a misplaced store would hit. *)
+type keyed_node = { first : string Real.link; k : int Real.key; third : int }
+
 let real_tests =
   [
     Alcotest.test_case "links live in their node's first field" `Quick (fun () ->
@@ -21,6 +25,16 @@ let real_tests =
         Real.set_link n next_of "d";
         Alcotest.(check string) "after set" "d" (Real.get_link n next_of);
         Alcotest.(check string) "second field untouched" "z" n.after);
+    Alcotest.test_case "keys live in their node's second field" `Quick (fun () ->
+        let n =
+          { first = Real.link "x" ".next" ~line:0 "a"; k = Real.key "x" ".val" ~line:0 4; third = 9 }
+        in
+        let key_of n = n.k in
+        Alcotest.(check int) "get" 4 (Real.get_key n.k);
+        Real.set_key n key_of 6;
+        Alcotest.(check int) "after set" 6 (Real.get_key n.k);
+        Alcotest.(check string) "first field untouched" "a" (Real.get_link n (fun n -> n.first));
+        Alcotest.(check int) "third field untouched" 9 n.third);
     Alcotest.test_case "cells hold values" `Quick (fun () ->
         let c = Real.make ~line:(Real.fresh_line ()) 7 in
         Alcotest.(check int) "get" 7 (Real.get c);
@@ -73,6 +87,8 @@ let access_stream f =
   List.rev !log
 
 type linked = { next : int Instr.link }
+
+type keyed = { nx : int Instr.link; key : int Instr.key }
 
 let instr_tests =
   [
@@ -142,6 +158,21 @@ let instr_tests =
                ignore (Instr.get_link node next_of);
                Instr.set_link node next_of 2;
                ignore (Instr.cas_link node next_of 2 3))));
+    Alcotest.test_case "a key access is one step named node ^ suffix" `Quick (fun () ->
+        (* The instrumented key is the cell [field] makes: a read is a
+           step, and a rewrite reaches it through the accessor. *)
+        let line = Instr.fresh_line () in
+        Alcotest.(check (list (triple string string int)))
+          "stream"
+          [ ("R", "x.val", line); ("W", "x.val", line); ("R", "x.val", line) ]
+          (access_stream (fun () ->
+               let node =
+                 { nx = Instr.link "x" ".next" ~line 0; key = Instr.key "x" ".val" ~line 4 }
+               in
+               let key_of n = n.key in
+               ignore (Instr.get_key node.key);
+               Instr.set_key node key_of 6;
+               assert (Instr.get_key node.key = 6))));
     Alcotest.test_case "last_cas_result tracks success" `Quick (fun () ->
         Instr.run_sequential (fun () ->
             let c = Instr.make ~name:"c" ~line:0 1 in
@@ -165,7 +196,7 @@ let parity_tests =
         let r = Vbl_memops.Mem_check.check_parity () in
         List.iter (fun m -> Alcotest.fail m) r.Vbl_memops.Mem_check.mismatches;
         Alcotest.(check (list int))
-          "expected final set" [ 0; 1; 5; 6; 7 ] r.Vbl_memops.Mem_check.real_set);
+          "expected final set" [ 5; 6; 7; 8 ] r.Vbl_memops.Mem_check.real_set);
   ]
 
 let () =
