@@ -229,30 +229,51 @@ let extract_fn name vb =
   }
 
 (* Top-level bindings, looking through [module Make (M : S) = struct]
-   functor wrappers.  Nested [let rec attempt ... in] helpers are folded
-   into their host function's summary by the body walk above. *)
-let rec structure_fns acc str = List.fold_left item_fns acc str
+   functor wrappers and into nested modules, each paired with its
+   [scope]: the names of its enclosing modules, innermost first.  A
+   function is keyed by its module path within the file ([Make.A.peek];
+   a top-level [peek] is [peek]), so two nested modules' same-named
+   helpers keep two summaries.  Nested [let rec attempt ... in] helpers
+   are folded into their host function's summary by the body walk
+   above. *)
+let key scope name = String.concat "." (List.rev (name :: scope))
 
-and item_fns acc si =
+let rec structure_fns scope acc str = List.fold_left (item_fns scope) acc str
+
+and item_fns scope acc si =
   match si.pstr_desc with
   | Pstr_value (_, vbs) ->
       List.fold_left
         (fun acc vb ->
           match vb.pvb_pat.ppat_desc with
           | Ppat_var { txt = name; _ } when is_function_expr vb.pvb_expr ->
-              extract_fn name vb :: acc
+              (scope, extract_fn (key scope name) vb) :: acc
           | _ -> acc)
         acc vbs
-  | Pstr_module mb -> module_fns acc mb.pmb_expr
-  | Pstr_recmodule mbs -> List.fold_left (fun acc mb -> module_fns acc mb.pmb_expr) acc mbs
+  | Pstr_module mb -> module_fns scope acc mb
+  | Pstr_recmodule mbs -> List.fold_left (module_fns scope) acc mbs
   | _ -> acc
 
-and module_fns acc me =
-  match me.pmod_desc with
-  | Pmod_structure str -> structure_fns acc str
-  | Pmod_functor (_, body) -> module_fns acc body
-  | Pmod_constraint (me, _) -> module_fns acc me
-  | _ -> acc
+and module_fns scope acc mb =
+  let scope = match mb.pmb_name.txt with Some n -> n :: scope | None -> scope in
+  let rec body acc me =
+    match me.pmod_desc with
+    | Pmod_structure str -> structure_fns scope acc str
+    | Pmod_functor (_, me) | Pmod_constraint (me, _) -> body acc me
+    | _ -> acc
+  in
+  body acc mb.pmb_expr
+
+(* An unqualified call resolves to the innermost enclosing definition:
+   [peek] called in module [A] of [Make] is [Make.A.peek] if the file
+   defines it, else [Make.peek], else [peek] (which may name no in-file
+   function at all). *)
+let rec resolve fn_tbl scope name =
+  match scope with
+  | [] -> name
+  | _ :: outer ->
+      let k = key scope name in
+      if Hashtbl.mem fn_tbl k then k else resolve fn_tbl outer name
 
 (* A module is "reclaiming" iff it applies the reclamation API — the
    backends in lib/reclaim define these operations but never apply them
@@ -358,9 +379,16 @@ let compute_status fn_tbl called fns =
   status
 
 let summarize_file str =
-  let fns = List.rev (structure_fns [] str) in
+  let scoped = List.rev (structure_fns [] [] str) in
   let fn_tbl = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace fn_tbl f.fn_name f) fns;
+  List.iter (fun (_, f) -> Hashtbl.replace fn_tbl f.fn_name f) scoped;
+  let fns =
+    List.map
+      (fun (scope, f) ->
+        let resolved c = { c with c_callee = resolve fn_tbl scope c.c_callee } in
+        { f with fn_calls = List.map resolved f.fn_calls })
+      scoped
+  in
   let called = Hashtbl.create 16 in
   List.iter
     (fun f -> List.iter (fun c -> if Hashtbl.mem fn_tbl c.c_callee then Hashtbl.replace called c.c_callee ()) f.fn_calls)
@@ -392,7 +420,13 @@ let find t name = match List.assoc_opt name t with Some fi -> fi | None -> empty
 
 let reclaiming fi = fi.fi_reclaiming
 let fns fi = fi.fi_fns
-let find_fn fi name = List.find_opt (fun f -> String.equal f.fn_name name) fi.fi_fns
+(* By the name a call site writes: the first function of that bare name
+   in any module of the file. *)
+let find_fn fi name =
+  let suffix = "." ^ name in
+  List.find_opt
+    (fun f -> String.equal f.fn_name name || String.ends_with ~suffix f.fn_name)
+    fi.fi_fns
 
 let status fi name =
   match Hashtbl.find_opt fi.fi_status name with Some s -> s | None -> Unprotected

@@ -35,10 +35,18 @@ type site = {
 }
 
 type deref = { d_site : site; d_op : string }
+
 type call = { c_site : site; c_callee : string }
+(** [c_callee] is the callee's key (see [fn_name]): an unqualified call
+    resolves to the innermost enclosing definition, [peek] in module [A]
+    to [A.peek] before a top-level [peek].  A name no in-file function
+    has stays as written. *)
 
 type fn = {
   fn_name : string;
+      (** its key: the module path within the file, then the binding's
+          name ([Make.A.peek]; a top-level function is its bare name), so
+          same-named helpers of two nested modules keep two summaries *)
   fn_protected : bool;  (** carries [\[@protected\]] *)
   fn_quiescent : bool;  (** carries [\[@quiescent\]] *)
   fn_acquires : bool;  (** carries [\[@acquires\]] *)
@@ -70,6 +78,9 @@ val reclaiming : file_info -> bool
 
 val fns : file_info -> fn list
 val find_fn : file_info -> string -> fn option
+(** By a bare name, as a call site writes it: the first function of that
+    name in any module of the file. *)
+
 val status : file_info -> string -> status
 val touches_shared : file_info -> string -> bool
 

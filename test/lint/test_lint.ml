@@ -88,6 +88,13 @@ let l5_bracket () =
     [ ("L5", 9, 10); ("L5", 10, 10); ("L5", 19, 7); ("L5", 39, 19); ("L5", 41, 23) ]
     (spans ~rules:[ F.L5 ] "bad_l5_bracket.ml")
 
+let l5_nested () =
+  check_spans
+    "a nested module's unbracketed root is flagged although another module's same-named \
+     helper is bracketed"
+    [ ("L5", 16, 15); ("L5", 16, 27) ]
+    (spans ~rules:[ F.L5 ] "bad_l5_nested.ml")
+
 let l6_retire () =
   check_spans
     "unlock-after-retire, double retire and undominated retire flagged; unlink-then-retire, \
@@ -169,6 +176,7 @@ let () =
         [
           Alcotest.test_case "L4 reclaim recycle" `Quick l4_reclaim;
           Alcotest.test_case "L5 epoch bracket" `Quick l5_bracket;
+          Alcotest.test_case "L5 nested modules" `Quick l5_nested;
           Alcotest.test_case "L6 retire/use" `Quick l6_retire;
           Alcotest.test_case "L7 publish order" `Quick l7_publish;
           Alcotest.test_case "L7 link publish order" `Quick l7_link;
