@@ -6,7 +6,7 @@
    the abstraction still costs once the dispatch is gone.
 
    The hot paths use the same closed top-level recursions as the
-   shared list source (see lib/lists/vbl_list.ml): without flambda a
+   shared list source (see lib/lists/lock_list.ml): without flambda a
    tuple-returning traversal or a capturing closure allocates per
    operation, which would contaminate the ablation with allocator noise.
 

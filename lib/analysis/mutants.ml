@@ -28,27 +28,32 @@
 module Instr = Vbl_memops.Instr_mem
 
 module Vbl_no_deleted_check = struct
-  include Seeded_vbl_no_deleted_check.Make (Instr)
+  module L = Seeded_vbl_no_deleted_check.Make (Instr)
+  include L.Vbl
   let name = "vbl-no-deleted-check"
 end
 
 module Vbl_unlocked_unlink = struct
-  include Seeded_vbl_unlocked_unlink.Make (Instr)
+  module L = Seeded_vbl_unlocked_unlink.Make (Instr)
+  include L.Vbl
   let name = "vbl-unlocked-unlink"
 end
 
 module Vbl_no_logical_delete = struct
-  include Seeded_vbl_no_logical_delete.Make (Instr)
+  module L = Seeded_vbl_no_logical_delete.Make (Instr)
+  include L.Vbl
   let name = "vbl-no-logical-delete"
 end
 
 module Vbl_leaky_lock = struct
-  include Seeded_vbl_leaky_lock.Make (Instr)
+  module L = Seeded_vbl_leaky_lock.Make (Instr)
+  include L.Vbl
   let name = "vbl-leaky-lock"
 end
 
 module Lazy_no_validation = struct
-  include Seeded_lazy_no_validation.Make (Instr)
+  module L = Seeded_lazy_no_validation.Make (Instr)
+  include L.Lazy
   let name = "lazy-no-validation"
 end
 

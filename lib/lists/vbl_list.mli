@@ -1,8 +1,4 @@
-(** The Value-Based List (VBL) — the paper's contribution (§3,
-    Algorithm 2): wait-free traversal resuming from [prev], value checks
-    before any locking, the §3.1 value-aware try-lock
-    ([lockNextAt]/[lockNextAtValue]), and logical deletion with immediate
-    unlink.  Concurrency-optimal (Theorems 1-3); the executable evidence
-    lives in the sched test suite. *)
+(** The Value-Based List (the paper's §3, Algorithm 2), as a
+    {!Set_intf.MAKER}: {!Lock_list.Make}'s [Vbl] set. *)
 
 module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S

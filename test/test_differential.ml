@@ -602,6 +602,8 @@ module L = Vbl_lists
 module Sk = Vbl_skiplists
 module Tr = Vbl_trees
 module Lock_skip = Sk.Lock_skiplist.Make (Real)
+module Lock_real = L.Lock_list.Make (Real)
+module Lock_reclaim = L.Lock_list.Make (Reclaim)
 
 let twin_case ?(title = "generated instance = functor twin") ?(ops = 4_000)
     ((generated : Vbl_lists.Registry.impl), (twin : Vbl_lists.Registry.impl)) =
@@ -634,16 +636,16 @@ let twins : (Vbl_lists.Registry.impl * Vbl_lists.Registry.impl) list =
     ((module L.Registry.Coarse), (module L.Coarse_list.Make (Real)));
     ((module L.Registry.Hand_over_hand), (module L.Hoh_list.Make (Real)));
     ((module L.Registry.Optimistic), (module L.Optimistic_list.Make (Real)));
-    ((module L.Registry.Lazy), (module L.Lazy_list.Make (Real)));
+    ((module L.Registry.Lazy), (module Lock_real.Lazy));
     ((module L.Registry.Harris_michael_amr), (module L.Harris_michael.Make (Real)));
     ((module L.Registry.Harris_michael_rtti), (module L.Harris_michael_tagged.Make (Real)));
     ((module L.Registry.Fomitchev_ruppert_list), (module L.Fomitchev_ruppert.Make (Real)));
-    ((module L.Registry.Vbl), (module L.Vbl_list.Make (Real)));
-    ((module L.Registry.Vbl_postlock_ablation), (module L.Vbl_postlock.Make (Real)));
+    ((module L.Registry.Vbl), (module Lock_real.Vbl));
+    ((module L.Registry.Vbl_postlock_ablation), (module Lock_real.Postlock));
     ((module L.Registry.Vbl_versioned_variant), (module L.Vbl_versioned.Make (Real)));
-    ((module L.Registry.Lazy_reclaim), (module L.Lazy_list.Make (Reclaim)));
+    ((module L.Registry.Lazy_reclaim), (module Lock_reclaim.Lazy));
     ((module L.Registry.Harris_michael_reclaim), (module L.Harris_michael.Make (Reclaim)));
-    ((module L.Registry.Vbl_reclaim), (module L.Vbl_list.Make (Reclaim)));
+    ((module L.Registry.Vbl_reclaim), (module Lock_reclaim.Vbl));
     ((module Sk.Registry.Lazy_skip), (module Lock_skip.Lazy));
     ((module Sk.Registry.Vbl_skip), (module Lock_skip.Vbl));
     ((module Sk.Registry.Lockfree_skip), (module Sk.Lockfree_skiplist.Make (Real)));

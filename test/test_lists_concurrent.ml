@@ -141,7 +141,8 @@ let canary =
       in
       let module I = Vbl_memops.Instr_mem in
       let seq = (module Vbl_lists.Seq_list.Make (I) : Vbl_lists.Set_intf.S) in
-      let control = (module Vbl_lists.Lazy_list.Make (I) : Vbl_lists.Set_intf.S) in
+      let module Lock = Vbl_lists.Lock_list.Make (I) in
+      let control = (module Lock.Lazy : Vbl_lists.Set_intf.S) in
       if not (List.exists (broken seq) seeds) then
         Alcotest.fail
           "the unsynchronised sequential list survived 20 interleaved runs — the judge is \
