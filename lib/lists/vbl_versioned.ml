@@ -88,20 +88,6 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     if v = min_int || v = max_int then
       invalid_arg "list-based set: key must be strictly between min_int and max_int"
 
-  (* Traversal additionally snapshots the version of [prev] at the moment
-     it reads [prev.next] — the witness the try-lock revalidates. *)
-  let waitfree_traversal t v prev =
-    let prev = if node_deleted prev then t.head else prev in
-    let rec loop prev pver curr =
-      if node_value curr < v then begin
-        let cver = version_exn curr in
-        loop curr cver (M.get_link (linked curr) next_of)
-      end
-      else (prev, pver, curr)
-    in
-    let pver = version_exn prev in
-    loop prev pver (M.get_link (linked prev) next_of)
-
   (* Version-based try-lock: lock, then require the node live and its
      version unchanged since the traversal's snapshot.  [@acquires]: on
      success the lock is handed to the caller (lint L3 exemption). *)
@@ -113,47 +99,68 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
       false
     end
 
+  (* The updates are closed walks, as VBL's are: a traversal returning a
+     (prev, pver, curr) tuple, or a retry loop closing over [v], would
+     allocate on every operation.  A walk carries the version of [prev]
+     it snapshot when it read [prev.next] -- the witness the try-lock
+     revalidates -- and a restart resumes from [prev]. *)
+  let[@hot] rec insert_attempt t v prev =
+    let prev = if node_deleted prev then t.head else prev in
+    let pver = version_exn prev in
+    insert_walk t v prev pver (M.get_link (linked prev) next_of)
+
+  and[@hot] insert_walk t v prev pver curr =
+    if node_value curr < v then begin
+      let cver = version_exn curr in
+      insert_walk t v curr cver (M.get_link (linked curr) next_of)
+    end
+    else if node_value curr = v then false
+    else begin
+      let x = make_node v curr in
+      if lock_at_version prev pver then begin
+        set_next prev x;
+        M.unlock (node_lock prev);
+        true
+      end
+      else insert_attempt t v prev
+    end
+
   let insert t v =
     check_key v;
-    let rec attempt prev =
-      let prev, pver, curr = waitfree_traversal t v prev in
-      if node_value curr = v then false
-      else begin
-        let x = make_node v curr in
-        if lock_at_version prev pver then begin
-          set_next prev x;
-          M.unlock (node_lock prev);
-          true
-        end
-        else attempt prev
+    insert_attempt t v t.head
+
+  let[@hot] rec remove_attempt t v prev =
+    let prev = if node_deleted prev then t.head else prev in
+    let pver = version_exn prev in
+    remove_walk t v prev pver (M.get_link (linked prev) next_of)
+
+  and[@hot] remove_walk t v prev pver curr =
+    if node_value curr < v then begin
+      let cver = version_exn curr in
+      remove_walk t v curr cver (M.get_link (linked curr) next_of)
+    end
+    else if node_value curr <> v then false
+    else begin
+      let cver = version_exn curr in
+      if not (lock_at_version prev pver) then remove_attempt t v prev
+      else if not (lock_at_version curr cver) then begin
+        M.unlock (node_lock prev);
+        remove_attempt t v prev
       end
-    in
-    attempt t.head
+      else begin
+        (match curr with
+        | Node n -> M.set n.deleted true
+        | Tail _ -> assert false);
+        set_next prev (M.get_link (linked curr) next_of);
+        M.unlock (node_lock curr);
+        M.unlock (node_lock prev);
+        true
+      end
+    end
 
   let remove t v =
     check_key v;
-    let rec attempt prev =
-      let prev, pver, curr = waitfree_traversal t v prev in
-      if node_value curr <> v then false
-      else begin
-        let cver = version_exn curr in
-        if not (lock_at_version prev pver) then attempt prev
-        else if not (lock_at_version curr cver) then begin
-          M.unlock (node_lock prev);
-          attempt prev
-        end
-        else begin
-          (match curr with
-          | Node n -> M.set n.deleted true
-          | Tail _ -> assert false);
-          set_next prev (M.get_link (linked curr) next_of);
-          M.unlock (node_lock curr);
-          M.unlock (node_lock prev);
-          true
-        end
-      end
-    in
-    attempt t.head
+    remove_attempt t v t.head
 
   (* A closed walk: a local loop over [v] would be a closure allocated
      on every call. *)
