@@ -123,23 +123,25 @@ let contains t v = contains_walk v t.head
 
 (* Diagnostics and range operations, mirroring the shared list source so
    the module satisfies Set_intf.S. *)
-let fold_range lo hi f init t =
-  let rec loop acc node =
-    match node with
-    | Tail -> acc
-    | Node n ->
-        if n.value > hi then acc
-        else
-          let keep = lo <= n.value && n.value <> min_int && not (Atomic.get n.deleted) in
-          let acc = if keep then f acc n.value else acc in
-          loop acc (Atomic.get n.next)
-  in
-  loop init t.head
+let rec collect_walk lo hi acc node =
+  match node with
+  | Tail -> acc
+  | Node n ->
+      if n.value > hi then acc
+      else
+        let acc =
+          if lo <= n.value && n.value <> min_int && not (Atomic.get n.deleted) then
+            Vbl_lists.Set_intf.keep n.value acc
+          else acc
+        in
+        collect_walk lo hi acc (Atomic.get n.next)
+
+let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
 include Vbl_lists.Set_intf.Derive (struct
   type nonrec t = t
 
-  let fold_range = fold_range
+  let collect_range = collect_range
 end)
 
 let check_invariants t =

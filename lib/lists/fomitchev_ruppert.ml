@@ -203,29 +203,29 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let curr, _ = search_from ~below:below_leq v t.head in
     node_key curr = v && not (is_marked curr)
 
-  let fold_range lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n ->
-          let succ, marked =
-            match M.get_link node succ_of with
-            | Live s | Flagged s -> (s, false)
-            | Marked s -> (s, true)
-          in
-          let v = M.get_key n.key in
-          if v > hi then acc
-          else
-            let keep = lo <= v && v <> min_int && not marked in
-            let acc = if keep then f acc v else acc in
-            loop acc succ
-    in
-    loop init t.head
+  (* The present keys of [lo, hi] consed onto [acc], descending: a
+     closed walk, so a collection allocates only its cons cells.  A
+     flagged node is present; a marked one's key is read and skipped. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n -> (
+        let link = M.get_link node succ_of in
+        let v = M.get_key n.key in
+        if v > hi then acc
+        else
+          match link with
+          | Live succ | Flagged succ ->
+              let acc = if lo <= v && v <> min_int then Set_intf.keep v acc else acc in
+              collect_walk lo hi acc succ
+          | Marked succ -> collect_walk lo hi acc succ)
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

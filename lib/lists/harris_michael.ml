@@ -249,37 +249,37 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     end
     else contains_start t v
 
-  let fold_walk lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n ->
-          let pair = M.get_link node amr_of in
-          let v = M.get_key n.value in
-          if v > hi then acc
-          else
-            let keep = lo <= v && v <> min_int && not pair.p_marked in
-            let acc = if keep then f acc v else acc in
-            loop acc pair.p_next
-    in
-    loop init t.head
+  (* The present keys of [lo, hi] consed onto [acc], descending: a
+     closed walk, so a collection allocates only its cons cells. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n ->
+        let pair = M.get_link node amr_of in
+        let v = M.get_key n.value in
+        if v > hi then acc
+        else
+          let acc =
+            if lo <= v && v <> min_int && not pair.p_marked then Set_intf.keep v acc else acc
+          in
+          collect_walk lo hi acc pair.p_next
 
-  (* The walk may be parked on a node a concurrent remove retires, so on
-     a reclaiming backend it runs inside one epoch bracket, closed even
-     when [f] raises. *)
-  let fold_range lo hi f init t =
+  (* The walk may stand on a node a concurrent remove retires, so on a
+     reclaiming backend it runs inside one epoch bracket, as the point
+     operations do. *)
+  let collect_range lo hi acc t =
     if M.reclaiming then begin
       let h = M.op_enter t.pool in
-      Fun.protect
-        ~finally:(fun () -> M.op_exit t.pool h)
-        (fun () -> fold_walk lo hi f init t)
+      let r = collect_walk lo hi acc t.head in
+      M.op_exit t.pool h;
+      r
     end
-    else fold_walk lo hi f init t
+    else collect_walk lo hi acc t.head
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let[@quiescent] check_invariants t =

@@ -170,27 +170,29 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     | Live first -> contains_walk v first 0
     | Marked _ -> assert false
 
-  let link_parts = function Live succ -> (succ, false) | Marked succ -> (succ, true)
+  (* The present keys of [lo, hi] consed onto [acc], descending: a
+     closed walk, so a collection allocates only its cons cells.  A
+     marked node's key is read, as a live one's is, and skipped. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n -> (
+        let link = M.get_link node link_of in
+        let v = M.get_key n.value in
+        if v > hi then acc
+        else
+          match link with
+          | Live succ ->
+              let acc = if lo <= v && v <> min_int then Set_intf.keep v acc else acc in
+              collect_walk lo hi acc succ
+          | Marked succ -> collect_walk lo hi acc succ)
 
-  let fold_range lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n ->
-          let succ, marked = link_parts (M.get_link node link_of) in
-          let v = M.get_key n.value in
-          if v > hi then acc
-          else
-            let keep = lo <= v && v <> min_int && not marked in
-            let acc = if keep then f acc v else acc in
-            loop acc succ
-    in
-    loop init t.head
+  let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =
@@ -202,7 +204,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
             if M.get_key n.value = max_int then Ok ()
             else Error "tail sentinel does not store max_int"
         | Node n ->
-            let succ, _ = link_parts (M.get_link node link_of) in
+            let succ = match M.get_link node link_of with Live s | Marked s -> s in
             let v = M.get_key n.value in
             if v <= last && steps > 0 then
               Error (Printf.sprintf "values not strictly increasing at %d" v)

@@ -13,10 +13,12 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
 
   type node =
     | Node of { next : node M.link; value : int M.key; lock : M.lock }
-    | Tail of { value : int M.key; lock : M.lock }
+    | Tail of { lock : M.lock; value : int M.key }
 
   type t = { head : node }
 
+  (* The tail keeps its key at a node's field index, so reading it makes
+     no tag test. *)
   let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
   (* The successor is each [Node]'s first field, an [M.link]; the tail
@@ -41,10 +43,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail =
-      Tail
-        { value = M.key tn ".val" ~line:tl max_int; lock = M.field_lock tn ".lock" ~line:tl () }
-    in
+    let lock = M.field_lock tn ".lock" ~line:tl () in
+    let tail = Tail { lock; value = M.key tn ".val" ~line:tl max_int } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     let head = build hn ~line:hl min_int tail in
@@ -109,23 +109,24 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     unlock2 prev curr;
     tval = v
 
-  let fold_range lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n ->
-          let v = M.get_key n.value in
-          if v > hi then acc
-          else
-            let acc = if lo <= v && v <> min_int then f acc v else acc in
-            loop acc (M.get_link node next_of)
-    in
-    loop init t.head
+  (* The present keys of [lo, hi] consed onto [acc], descending: a
+     closed walk, so a collection allocates only its cons cells. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n ->
+        let v = M.get_key n.value in
+        if v > hi then acc
+        else
+          let acc = if lo <= v && v <> min_int then Set_intf.keep v acc else acc in
+          collect_walk lo hi acc (M.get_link node next_of)
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

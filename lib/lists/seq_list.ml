@@ -90,23 +90,24 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     contains_walk v (M.get_link (linked t.head) next_of)
 
-  let fold_range lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n ->
-          let v = M.get_key n.value in
-          if v > hi then acc
-          else
-            let acc = if lo <= v && v <> min_int then f acc v else acc in
-            loop acc (M.get_link node next_of)
-    in
-    loop init t.head
+  (* The present keys of [lo, hi] consed onto [acc], descending: a
+     closed walk, so a collection allocates only its cons cells. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n ->
+        let v = M.get_key n.value in
+        if v > hi then acc
+        else
+          let acc = if lo <= v && v <> min_int then Set_intf.keep v acc else acc in
+          collect_walk lo hi acc (M.get_link node next_of)
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

@@ -34,7 +34,7 @@ module type S = sig
       (e.g. it skips logically deleted nodes). *)
 
   val size : t -> int
-  (** [List.length (to_list t)], computed without building the list. *)
+  (** [List.length (to_list t)]. *)
 
   val check_invariants : t -> (unit, string) result
   (** Structural sanity at quiescence: sentinel values intact, strictly
@@ -45,18 +45,18 @@ module type S = sig
 
   val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
   (** In-order fold over the present values, strictly ascending: each
-      value is yielded at most once.  Concurrent-safe
-      in the same best-effort sense as a single collecting traversal: the
-      walk takes no locks and applies the algorithm's own notion of
-      presence, so under concurrent updates it sees some interleaving of
-      them (each visited value was present at the moment its node was
-      read).  At quiescence it is exact.  On reclaiming backends the
-      walk runs inside one epoch bracket, and brackets do not nest, so
-      [f] must not call back into a reclaiming set (see {!Derive}). *)
+      value is yielded at most once.  The values are collected by one
+      walk first, and [f] runs over the collected list after it, outside
+      every lock and epoch bracket, so [f] may call back into any set.
+      Concurrent-safe in the same best-effort sense as a single
+      collecting traversal: the walk applies the algorithm's own notion
+      of presence, so under concurrent updates it sees some
+      interleaving of them (each collected value was present at the
+      moment its node was read).  At quiescence it is exact. *)
 
   val iter : (int -> unit) -> t -> unit
-  (** [fold]-derived ordered iteration over the present values; the same
-      callback restriction applies. *)
+  (** [fold]-derived ordered iteration over the present values: [f]
+      runs after the collecting walk, as in [fold]. *)
 
   val range_query : t -> int -> int -> int list
   (** [range_query t lo hi] returns the present values in the inclusive
@@ -79,7 +79,7 @@ module type S = sig
   (** A cheap, possibly stale cardinality estimate.  Exact at
       quiescence.  Structures with auxiliary counters (e.g. the sharded
       frontend's striped counters) answer in O(1); plain structures fall
-      back to a counting traversal. *)
+      back to the length of one whole-set collection. *)
 end
 
 (** All algorithms are functors over the memory backend, so the same source
@@ -87,36 +87,47 @@ end
     control ({!Instr_mem}). *)
 module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
 
-(** Derives the traversal operations from one presence-aware ascending
-    window fold, [Base.fold_range lo hi f init t], which folds [f] over
-    the present values in the inclusive window [[lo, hi]] in ascending
-    order and never yields a sentinel, whatever the window.  [fold],
-    [iter], [to_list], [size] and [approx_size] are the whole window
-    [[min_int, max_int]]; [range_query] collects [[lo, hi]].
+(** [keep v acc] conses [v] onto the descending collection [acc] unless
+    [v] is at or below [acc]'s head, the last key kept: the guard that
+    keeps every collection strictly ascending (see {!Derive}).  Typed
+    [int], so the comparison is a machine compare, not a polymorphic
+    [caml_lessequal] call. *)
+let[@inline] keep (v : int) (acc : int list) =
+  match acc with last :: _ when v <= last -> acc | _ -> v :: acc
+
+(** Derives the traversal operations from one presence-aware window
+    collector, [Base.collect_range lo hi acc t], which conses the
+    present values of the inclusive window [[lo, hi]] onto [acc] in
+    descending order, through {!keep}, and never a sentinel, whatever
+    the window.  [to_list], [size] and [approx_size] are one collection
+    of the whole window [[min_int, max_int]]; [fold] and [iter] run
+    over [to_list]; [range_query] collects [[lo, hi]].
 
     {b Cost.}  Each family visits only what can hold a key of the
     window: the BSTs descend only into subtrees whose key range meets
     [[lo, hi]], so a collection costs O(depth + k) for [k] keys in the
     window; the lists (and the skiplists, on their bottom level) walk
     from the head and stop at the first key above [hi], so a collection
-    costs up to the position of [hi].
+    costs up to the position of [hi].  Each collector is a closed
+    top-level recursion, so a collection allocates only its 3-word
+    cons cells, and a [range_query] that accepts at once 9 words per
+    key: two collections and one reversal.
 
-    {b Strictly ascending.}  Every traversal below runs through one
-    wrapper of [Base.fold_range] that skips any key at or below the
-    last key it yielded.  On the BSTs a single walk can otherwise meet a
-    key twice: a remove splices the key's node out and its right subtree
-    moves up into its slot, an insert of the same key links a new node
-    at the leftmost end of that subtree, and a walk that has just
-    yielded the key enters the subtree and meets the re-insertion.  On
-    the lists and skiplists the guard never fires.
+    {b Strictly ascending.}  Every collector conses through {!keep},
+    which skips any key at or below the last key kept.  On the BSTs a
+    single walk can otherwise meet a key twice: a remove splices the
+    key's node out and its right subtree moves up into its slot, an
+    insert of the same key links a new node at the leftmost end of
+    that subtree, and a walk that has just kept the key enters the
+    subtree and meets the re-insertion.  On the lists and skiplists the
+    guard never fires.
 
-    {b Reclaiming backends.}  On a backend with [M.reclaiming] the
-    lists run the whole window walk inside one epoch bracket
-    ([M.op_enter]/[M.op_exit]), so no node the walk can reach is
-    recycled under it.  Epoch brackets do not nest: a callback passed
-    to [fold], [iter] or [fold_range] must not call back into a set on
-    a reclaiming backend — the inner operation's exit would end the
-    outer walk's protection.
+    {b Callbacks.}  No callback runs inside a walk: [fold] and [iter]
+    apply theirs to the collected list, after the walk has returned.
+    On a backend with [M.reclaiming] the lists bracket the walk alone
+    with [M.op_enter]/[M.op_exit], as their point operations are
+    bracketed, so a callback holds no epoch and may call back into any
+    set, reclaiming or not.
 
     [range_query] uses the double-collect discipline: collect the window,
     collect it again, retry until two successive collections agree.
@@ -149,41 +160,31 @@ module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
 module Derive (Base : sig
   type t
 
-  val fold_range : int -> int -> ('a -> int -> 'a) -> 'a -> t -> 'a
+  val collect_range : int -> int -> int list -> t -> int list
 end) =
 struct
-  (* Sentinels are never yielded, so every key is above [min_int].
-     Inlined, so a caller's known [f] is called directly per key. *)
-  let[@inline] ascending lo hi f init t =
-    let last = ref min_int in
-    Base.fold_range lo hi
-      (fun acc v ->
-        if v <= !last then acc
-        else begin
-          last := v;
-          f acc v
-        end)
-      init t
-
-  let fold f init t = ascending min_int max_int f init t
-  let iter f t = fold (fun () v -> f v) () t
-  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-  let size t = fold (fun n _ -> n + 1) 0 t
+  let to_list t = List.rev (Base.collect_range min_int max_int [] t)
+  let fold f init t = List.fold_left f init (to_list t)
+  let iter f t = List.iter f (to_list t)
+  let size t = List.length (Base.collect_range min_int max_int [] t)
   let approx_size = size
 
-  (* Descending collection (no final reverse) — cheaper to compare across
-     retries; reversed once on acceptance. *)
-  let collect t lo hi = ascending lo hi (fun acc v -> v :: acc) [] t
+  (* Successive collections are compared descending, as collected, and
+     reversed once on acceptance.  Monomorphic: a polymorphic [=] on
+     two lists is a [caml_equal] call. *)
+  let rec same_keys (a : int list) (b : int list) =
+    match (a, b) with
+    | x :: a, y :: b -> x = y && same_keys a b
+    | [], [] -> true
+    | _ :: _, [] | [], _ :: _ -> false
 
   let stabilize_budget = 64
 
+  let rec stabilize t lo hi prev budget =
+    let cur = Base.collect_range lo hi [] t in
+    if same_keys cur prev || budget <= 0 then List.rev cur
+    else stabilize t lo hi cur (budget - 1)
+
   let range_query t lo hi =
-    if lo > hi then []
-    else
-      let rec stabilize prev budget =
-        let cur = collect t lo hi in
-        if cur = prev || budget <= 0 then List.rev cur
-        else stabilize cur (budget - 1)
-      in
-      stabilize (collect t lo hi) stabilize_budget
+    if lo > hi then [] else stabilize t lo hi (Base.collect_range lo hi [] t) stabilize_budget
 end

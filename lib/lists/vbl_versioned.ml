@@ -22,14 +22,16 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     | Node of {
         next : node M.link;
         value : int M.key;
-        version : int M.cell;  (** bumped on every [next] write *)
         deleted : bool M.cell;
+        version : int M.cell;  (** bumped on every [next] write *)
         lock : M.lock;
       }
-    | Tail of { value : int M.key; deleted : bool M.cell; lock : M.lock }
+    | Tail of { lock : M.lock; value : int M.key; deleted : bool M.cell }
 
   type t = { head : node }
 
+  (* The tail keeps its key and flag at a node's field indices, so
+     reading either makes no tag test. *)
   let node_value = function Node n -> M.get_key n.value | Tail n -> M.get_key n.value
   let node_deleted = function Node n -> M.get n.deleted | Tail n -> M.get n.deleted
   let node_lock = function Node n -> n.lock | Tail n -> n.lock
@@ -59,7 +61,7 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     let deleted = M.field nm ".del" ~line false in
     let version = M.field nm ".ver" ~line 0 in
     let next = M.link nm ".next" ~line next in
-    Node { next; value = M.key nm ".val" ~line value; version; deleted; lock }
+    Node { next; value = M.key nm ".val" ~line value; deleted; version; lock }
 
   (* Names are only built for instrumented backends ([M.named]). *)
   let make_node value next =
@@ -71,14 +73,9 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   let create () =
     let tl = M.fresh_line () in
     let tn = if M.named then Naming.tail else "" in
-    let tail =
-      Tail
-        {
-          value = M.key tn ".val" ~line:tl max_int;
-          deleted = M.field tn ".del" ~line:tl false;
-          lock = M.field_lock tn ".lock" ~line:tl ();
-        }
-    in
+    let lock = M.field_lock tn ".lock" ~line:tl () in
+    let deleted = M.field tn ".del" ~line:tl false in
+    let tail = Tail { lock; value = M.key tn ".val" ~line:tl max_int; deleted } in
     let hl = M.fresh_line () in
     let hn = if M.named then Naming.head else "" in
     let head = build hn ~line:hl min_int tail in
@@ -172,24 +169,27 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
     check_key v;
     contains_walk v t.head
 
-  let fold_range lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n ->
-          let v = M.get_key n.value in
-          if v > hi then acc
-          else
-            let keep = lo <= v && v <> min_int && not (M.get n.deleted) in
-            let acc = if keep then f acc v else acc in
-            loop acc (M.get_link node next_of)
-    in
-    loop init t.head
+  (* The present keys of [lo, hi] consed onto [acc], descending: a
+     closed walk, so a collection allocates only its cons cells. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n ->
+        let v = M.get_key n.value in
+        if v > hi then acc
+        else
+          let acc =
+            if lo <= v && v <> min_int && not (M.get n.deleted) then Set_intf.keep v acc
+            else acc
+          in
+          collect_walk lo hi acc (M.get_link node next_of)
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
   include Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

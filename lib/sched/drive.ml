@@ -124,7 +124,9 @@ let explore_scenario (module S : Vbl_lists.Set_intf.S) ~initial ~(ops : Ll_abstr
   { Explore.make }
 
 (** A range-read exploration scenario: thread 0 runs [range_query lo hi]
-    while thread [i] (1..n) runs the [i]-th op sequence of [ops] in
+    (or, when [whole], [to_list] as the window [[lo, hi]] =
+    [[min_int, max_int]]) while thread [i] (1..n) runs the [i]-th op
+    sequence of [ops] in
     order, so one thread's ops are ordered in real time.  Single-key
     verdicts cannot judge a multi-key read, so the whole history goes
     through {!Vbl_spec.Multikey.check} instead: every operation is
@@ -135,8 +137,8 @@ let explore_scenario (module S : Vbl_lists.Set_intf.S) ~initial ~(ops : Ll_abstr
     handed to the per-key checker is left empty; the multikey search
     subsumes it.  σ̄-style trailing contains probes against the actual
     final contents are appended so lost updates stay visible. *)
-let explore_range_scenario (module S : Vbl_lists.Set_intf.S) ~initial
-    ~range:(lo, hi) ~(ops : Ll_abstract.opspec list list) : Explore.scenario =
+let read_scenario (module S : Vbl_lists.Set_intf.S) ~initial ~whole ~window:(lo, hi)
+    ~(ops : Ll_abstract.opspec list list) : Explore.scenario =
   let make () =
     let t =
       Instr.run_sequential (fun () ->
@@ -162,7 +164,8 @@ let explore_range_scenario (module S : Vbl_lists.Set_intf.S) ~initial
       (fun () ->
         record 0
           (Vbl_spec.Multikey.Range { lo; hi })
-          (fun () -> Vbl_spec.Multikey.Values (S.range_query t lo hi)))
+          (fun () ->
+            Vbl_spec.Multikey.Values (if whole then S.to_list t else S.range_query t lo hi)))
       :: List.mapi
            (fun i thread_ops () ->
              List.iter
@@ -216,3 +219,11 @@ let explore_range_scenario (module S : Vbl_lists.Set_intf.S) ~initial
     }
   in
   { Explore.make }
+
+let explore_range_scenario impl ~initial ~range ~ops =
+  read_scenario impl ~initial ~whole:false ~window:range ~ops
+
+(** The same with [to_list] for thread 0: one whole-set collection,
+    judged as the window [[min_int, max_int]]. *)
+let explore_to_list_scenario impl ~initial ~ops =
+  read_scenario impl ~initial ~whole:true ~window:(min_int, max_int) ~ops

@@ -57,3 +57,13 @@ val explore_range_scenario :
     the scenario's [invariants] closure, with σ̄-style trailing contains
     probes against the final contents.  The single-key history
     fed to the per-key checker is left empty (subsumed). *)
+
+val explore_to_list_scenario :
+  (module Vbl_lists.Set_intf.S) ->
+  initial:int list ->
+  ops:Ll_abstract.opspec list list ->
+  Explore.scenario
+(** {!explore_range_scenario} with [to_list] for thread 0, judged as a
+    read of the window [[min_int, max_int]]: one collection, so unlike
+    [range_query]'s double-collect no second collection can hide a key
+    the walk met twice. *)

@@ -246,26 +246,29 @@ end = struct
       let found = contains_walk t v top t.head (M.get (next_cell t.head top)) t.head in
       found != t.head && node_fully_linked found && not (node_marked found)
 
-    let fold_range lo hi f init t =
-      let rec loop acc node =
-        match node with
-        | Tail _ -> acc
-        | Node n ->
-            let v = M.get_key n.value in
-            if v > hi then acc
-            else
-              let keep =
-                lo <= v && v <> min_int && (not (M.get n.marked)) && M.get n.fully_linked
-              in
-              let acc = if keep then f acc v else acc in
-              loop acc (M.get n.next.(0))
-      in
-      loop init t.head
+    (* The present keys of [lo, hi] consed onto [acc], descending, from
+       the bottom level: a closed walk, so a collection allocates only
+       its cons cells. *)
+    let rec collect_walk lo hi acc node =
+      match node with
+      | Tail _ -> acc
+      | Node n ->
+          let v = M.get_key n.value in
+          if v > hi then acc
+          else
+            let acc =
+              if lo <= v && v <> min_int && (not (M.get n.marked)) && M.get n.fully_linked then
+                Vbl_lists.Set_intf.keep v acc
+              else acc
+            in
+            collect_walk lo hi acc (M.get n.next.(0))
+
+    let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
     include Vbl_lists.Set_intf.Derive (struct
       type nonrec t = t
 
-      let fold_range = fold_range
+      let collect_range = collect_range
     end)
 
     (* [check level] for [level] and every level above it, up to the

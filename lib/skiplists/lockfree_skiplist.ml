@@ -238,26 +238,28 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     done;
     node_value !curr = v
 
-  let fold_range lo hi f init t =
-    let rec loop acc node =
-      match node with
-      | Tail _ -> acc
-      | Node n -> (
-          let v = M.get_key n.value in
-          if v > hi then acc
-          else
-            match M.get n.next.(0) with
-            | Live succ ->
-                let acc = if lo <= v && v <> min_int then f acc v else acc in
-                loop acc succ
-            | Marked succ -> loop acc succ)
-    in
-    loop init t.head
+  (* The present keys of [lo, hi] consed onto [acc], descending, from
+     the bottom level: a closed walk, so a collection allocates only its
+     cons cells. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Tail _ -> acc
+    | Node n -> (
+        let v = M.get_key n.value in
+        if v > hi then acc
+        else
+          match M.get n.next.(0) with
+          | Live succ ->
+              let acc = if lo <= v && v <> min_int then Vbl_lists.Set_intf.keep v acc else acc in
+              collect_walk lo hi acc succ
+          | Marked succ -> collect_walk lo hi acc succ)
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.head
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

@@ -34,10 +34,13 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   let check_invariants t = Seq.check_invariants t.inner
   (* Reads serialize with writers too: Seq_bst is not built for
      concurrent traversal (a walk racing a remove's splice can miss live
-     keys), and coarse is the zero-concurrency anchor, so fold/iter and
-     the derived approx_size take the global lock like everything else. *)
-  let fold f init t = critical t (fun inner init -> Seq.fold f init inner) init
-  let iter f t = critical t (fun inner f -> Seq.iter f inner) f
+     keys), and coarse is the zero-concurrency anchor, so the collections
+     of fold/iter and the derived approx_size take the global lock like
+     everything else.  [f] runs on the collected list after the lock is
+     released, so it may call back into the set. *)
+  let collect inner () = Seq.to_list inner
+  let fold f init t = List.fold_left f init (critical t collect ())
+  let iter f t = List.iter f (critical t collect ())
 
   (* A single collection under the global lock is a true snapshot, so
      this is the one tree family member whose range_query is genuinely

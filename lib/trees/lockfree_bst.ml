@@ -288,25 +288,28 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     check_key v;
     remove_attempt t v
 
-  (* In-order over the leaves of [lo, hi]: values below an internal
-     node's key route left and the rest right, so a subtree is entered
-     only if it can hold a value of the window, and a window costs
-     O(depth + k).  Sentinel leaves contribute nothing. *)
-  let fold_range lo hi f init t =
-    let rec go acc n =
-      match n with
-      | Leaf { value = v } ->
-          if lo <= v && v <= hi && v <> min_int && v <> max_int then f acc v else acc
-      | Internal i ->
-          let acc = if lo < i.key then go acc (M.get i.left) else acc in
-          if i.key <= hi then go acc (M.get i.right) else acc
-    in
-    go init t.root_node
+  (* In-order over the leaves of [lo, hi], consed onto [acc]
+     descending: values below an internal node's key route left and the
+     rest right, so a subtree is entered only if it can hold a value of
+     the window, and a window costs O(depth + k).  Sentinel leaves
+     contribute nothing.  A closed walk: a collection allocates only its
+     cons cells. *)
+  let rec collect_walk lo hi acc n =
+    match n with
+    | Leaf { value = v } ->
+        if lo <= v && v <= hi && v <> min_int && v <> max_int then
+          Vbl_lists.Set_intf.keep v acc
+        else acc
+    | Internal i ->
+        let acc = if lo < i.key then collect_walk lo hi acc (M.get i.left) else acc in
+        if i.key <= hi then collect_walk lo hi acc (M.get i.right) else acc
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.root_node
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

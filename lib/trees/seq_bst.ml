@@ -131,27 +131,30 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     check_key v;
     contains_walk v t.inner
 
-  (* In-order over the leaves of [lo, hi]: values below a router's key
-     route left and the rest right, so a subtree is entered only if it
-     can hold a value of the window, and a window costs O(depth + k).
-     Sentinel leaves contribute nothing. *)
-  let fold_range lo hi f init t =
-    let rec go acc node =
-      match node with
-      | Leaf l ->
-          let v = M.get_key l.value in
-          if lo <= v && v <= hi && v <> min_int && v <> max_int then f acc v else acc
-      | Router r ->
-          let k = M.get_key r.key in
-          let acc = if lo < k then go acc (M.get r.left) else acc in
-          if k <= hi then go acc (M.get r.right) else acc
-    in
-    go init t.root
+  (* In-order over the leaves of [lo, hi], consed onto [acc]
+     descending: values below a router's key route left and the rest
+     right, so a subtree is entered only if it can hold a value of the
+     window, and a window costs O(depth + k).  Sentinel leaves
+     contribute nothing.  A closed walk: a collection allocates only
+     its cons cells. *)
+  let rec collect_walk lo hi acc node =
+    match node with
+    | Leaf l ->
+        let v = M.get_key l.value in
+        if lo <= v && v <= hi && v <> min_int && v <> max_int then
+          Vbl_lists.Set_intf.keep v acc
+        else acc
+    | Router r ->
+        let k = M.get_key r.key in
+        let acc = if lo < k then collect_walk lo hi acc (M.get r.left) else acc in
+        if k <= hi then collect_walk lo hi acc (M.get r.right) else acc
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.root
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   (* Structural invariants: external shape, key ranges respected, no

@@ -290,29 +290,30 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
     check_key v;
     remove_walk t v t.root t.root 0
 
-  (* In-order over the live keys of [lo, hi]: a subtree is entered only
-     if its key range can meet the window (keys left of [n] are below
-     [n.key], keys right of it above), so a window costs O(depth + k).
-     Deleted routing nodes are skipped, the sentinel contributes
-     nothing. *)
-  let fold_range lo hi f init t =
-    let rec go acc = function
-      | Nil -> acc
-      | Node n ->
-          let k = n.key in
-          let acc = if lo < k then go acc (M.get n.left) else acc in
-          let acc =
-            if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then f acc k
-            else acc
-          in
-          if k < hi then go acc (M.get n.right) else acc
-    in
-    go init t.root
+  (* In-order over the live keys of [lo, hi], consed onto [acc]
+     descending: a subtree is entered only if its key range can meet the
+     window (keys left of [n] are below [n.key], keys right of it
+     above), so a window costs O(depth + k).  Deleted routing nodes are
+     skipped, the sentinel contributes nothing.  A closed walk: a
+     collection allocates only its cons cells. *)
+  let rec collect_walk lo hi acc = function
+    | Nil -> acc
+    | Node n ->
+        let k = n.key in
+        let acc = if lo < k then collect_walk lo hi acc (M.get n.left) else acc in
+        let acc =
+          if lo <= k && k <= hi && k <> max_int && not (M.get n.deleted) then
+            Vbl_lists.Set_intf.keep k acc
+          else acc
+        in
+        if k < hi then collect_walk lo hi acc (M.get n.right) else acc
+
+  let collect_range lo hi acc t = collect_walk lo hi acc t.root
 
   include Vbl_lists.Set_intf.Derive (struct
     type nonrec t = t
 
-    let fold_range = fold_range
+    let collect_range = collect_range
   end)
 
   let check_invariants t =

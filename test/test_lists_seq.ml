@@ -141,9 +141,10 @@ let property_tests (impl : Vbl_lists.Registry.impl) =
   ]
 
 (* Set_intf.Derive semantics, pinned against a scripted base whose
-   successive window folds replay fixed views (the last view repeats once
-   the script runs out), filtered to the asked window, and which records
-   every window it is asked for.  The first case is the reason the
+   successive window collections replay fixed views (the last view
+   repeats once the script runs out), filtered to the asked window and
+   consed through [Set_intf.keep] as every family's collector conses,
+   and which records every window it is asked for.  The first case is the reason the
    derived range_query documents a best-effort contract for every family:
    agreement of two collections is not a snapshot certificate, because
    an ABA toggle between them restores agreement.  test_spec.ml holds
@@ -153,7 +154,7 @@ module Scripted = struct
 
   let make views = { views; windows = [] }
 
-  let fold_range lo hi f init t =
+  let collect_range lo hi acc t =
     t.windows <- (lo, hi) :: t.windows;
     let view =
       match t.views with
@@ -163,7 +164,9 @@ module Scripted = struct
           t.views <- rest;
           v
     in
-    List.fold_left (fun acc v -> if lo <= v && v <= hi then f acc v else acc) init view
+    List.fold_left
+      (fun acc v -> if lo <= v && v <= hi then Vbl_lists.Set_intf.keep v acc else acc)
+      acc view
 end
 
 module Scripted_range = Vbl_lists.Set_intf.Derive (Scripted)

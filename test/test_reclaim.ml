@@ -98,13 +98,16 @@ let real_cases =
     ]
 
 (* A fold parked across a grace period.  One domain folds over keys
-   1..20 and parks inside its callback at key 1, its walk standing on
-   node 1.  Another domain removes 1, runs 400 insert/remove pairs so
-   the epoch advances and limbo ages out, then inserts 600 fresh keys
-   that recycle the retired nodes.  An unbracketed walk resumes on node
-   1 reinitialized as some key above 1000 and skips every untouched key
-   2..20; inside the fold's epoch bracket node 1 stays in limbo until
-   the walk leaves it. *)
+   1..20 and parks inside its callback at key 1.  Another domain removes
+   1, runs 400 insert/remove pairs so the epoch advances and limbo ages
+   out, then inserts 600 fresh keys that recycle the retired nodes.  The
+   fold must still yield every untouched key 2..20: a walk that resumed
+   on node 1 reinitialized as some key above 1000 would skip them.  And
+   the parked callback must not hold the epoch: the fold collects
+   inside its bracket and calls back after closing it, so the churn
+   recycles the nodes it retires while the callback is parked.  A walk
+   that called back inside its bracket would pin the epoch, every node
+   retired meanwhile would stay in limbo, and no insert would recycle. *)
 let parked_fold_sees_untouched_keys name () =
   let module S = (val Vbl_harness.Sweep.find_real name : Vbl_lists.Set_intf.S) in
   let t = S.create () in
@@ -125,24 +128,31 @@ let parked_fold_sees_untouched_keys name () =
             v :: acc)
           [] t)
   in
-  Fun.protect
-    ~finally:(fun () -> Atomic.set released true)
-    (fun () ->
-      while not (Atomic.get parked) do
-        Domain.cpu_relax ()
-      done;
-      ignore (S.remove t 1 : bool);
-      for _ = 1 to 400 do
-        ignore (S.insert t 1000 : bool);
-        ignore (S.remove t 1000 : bool)
-      done;
-      for v = 1001 to 1600 do
-        ignore (S.insert t v : bool)
-      done);
+  let recycled =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set released true)
+      (fun () ->
+        while not (Atomic.get parked) do
+          Domain.cpu_relax ()
+        done;
+        with_metrics (fun () ->
+            ignore (S.remove t 1 : bool);
+            for _ = 1 to 400 do
+              ignore (S.insert t 1000 : bool);
+              ignore (S.remove t 1000 : bool)
+            done;
+            for v = 1001 to 1600 do
+              ignore (S.insert t v : bool)
+            done;
+            Metrics.get (Metrics.snapshot ()) Metrics.Reclaim_recycled))
+  in
   let seen = Domain.join folder in
   Alcotest.(check (list int))
     "untouched keys 2..20 the parked fold missed" []
-    (List.filter (fun v -> not (List.mem v seen)) (List.init 19 (fun i -> i + 2)))
+    (List.filter (fun v -> not (List.mem v seen)) (List.init 19 (fun i -> i + 2)));
+  Alcotest.(check bool)
+    (Printf.sprintf "inserts recycle while the callback is parked (%d)" recycled)
+    true (recycled > 0)
 
 let real_cases =
   real_cases

@@ -247,6 +247,20 @@ let range_explore_tests =
   in
   let module L = Vbl_sched.Ll_abstract in
   let small = { config with Vbl_sched.Explore.max_executions = 64 } in
+  let to_list_once name impl executions =
+    Alcotest.test_case (name ^ " remove 50; insert 50: to_list keeps 50 once") `Slow
+      (fun () ->
+        let scenario =
+          Vbl_sched.Drive.explore_to_list_scenario impl ~initial:[ 30; 50; 60; 70 ]
+            ~ops:[ [ L.remove 50; L.insert 50 ] ]
+        in
+        let r = Vbl_sched.Explore.run ~config scenario in
+        Alcotest.(check bool) "not truncated" false r.Vbl_sched.Explore.truncated;
+        (match r.Vbl_sched.Explore.failure with
+        | None -> ()
+        | Some f -> Alcotest.failf "%a" Vbl_sched.Explore.pp_failure f);
+        Alcotest.(check int) "executions" executions r.Vbl_sched.Explore.executions)
+  in
   [
     range_ok "vbl-bst"
       (module Vbl_trees.Registry.Vbl_bst_i)
@@ -295,6 +309,17 @@ let range_explore_tests =
       (module Vbl_trees.Registry.Lockfree_bst_i)
       [ 1; 2; 3 ] (1, 3)
       [ [ L.remove 2; L.insert 2 ] ];
+    (* One collection, so no second one can hide a key the walk met
+       twice.  On {30, 50, 60, 70}, inserted in that order, 50 has one
+       child: the remove splices it out and 60's subtree moves up into
+       its slot, and the insert links the new 50 at that subtree's
+       leftmost end, where a walk that has just kept 50 goes next.  The
+       collector's guard ([Set_intf.keep]) skips it; a walk without the
+       guard returns 50 twice and Multikey rejects the execution.  The
+       execution counts are pinned. *)
+    to_list_once "vbl-bst" (module Vbl_trees.Registry.Vbl_bst_i) 16;
+    to_list_once "lazy-bst" (module Vbl_trees.Registry.Lazy_bst_i) 8;
+    to_list_once "lockfree-bst" (module Vbl_trees.Registry.Lockfree_bst_i) 8;
     Alcotest.test_case "sequential-bst range caught (canary)" `Slow (fun () ->
         let scenario =
           Vbl_sched.Drive.explore_range_scenario
