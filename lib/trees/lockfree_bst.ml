@@ -27,11 +27,11 @@
 
     Structure, sentinels and naming follow {!Seq_bst} (["R<key>"]
     internal nodes; leaves are immutable and unnamed cells-wise).  Range
-    operations derive from the shared double-collect over a window fold
-    that, like [contains], reads only immutable keys and child pointers
-    and enters only subtrees that can hold a value of [[lo, hi]], so a
-    collection costs O(depth + k).  They carry the family-wide
-    best-effort contract: agreement of two collections is a
+    operations derive from the shared double-collect over a window
+    collector that, like [contains], reads only immutable keys and
+    child pointers and enters only subtrees that can hold a value of
+    [[lo, hi]], so a collection costs O(depth + k).  They carry the
+    family-wide best-effort contract: agreement of two collections is a
     stabilisation heuristic, not a snapshot certificate, and under churn
     the budget may expire and return the last collection. *)
 

@@ -34,12 +34,16 @@
     writes the node (or [Nil]) straight into the slot.
 
     Range operations come from {!Vbl_lists.Set_intf.Derive} over a
-    window fold bounded to [[lo, hi]]: like [contains], it is a
+    window collector bounded to [[lo, hi]]: like [contains], it is a
     wait-free descent reading only immutable keys, child pointers and
     the [deleted] flags of in-window nodes, and it enters only subtrees
     whose key range meets the window, so a collection costs
-    O(depth + k) rather than a whole-tree walk.  Splices move subtrees
-    up intact, so pruning never skips a key that is in the window.
+    O(depth + k) rather than a whole-tree walk.  It is a closed
+    recursion that conses each kept key onto a descending list, 3 words
+    a key and nothing else.  Splices move subtrees up intact, so pruning
+    never skips a key that is in the window; a key re-inserted behind a
+    walk that has just kept it is skipped by the collector's guard
+    ([Set_intf.keep]), so one collection never holds a key twice.
     The double-collect carries the family-wide best-effort contract:
     presence here flips with a single [deleted]-flag write or a single
     child-pointer link, so each collected value was present at the

@@ -59,7 +59,7 @@ let unit_tests (impl : Vbl_trees.Registry.impl) =
   ]
 
 (* Range-operation semantics, derived for every implementation from its
-   pruned, presence-aware window fold (Set_intf.Derive). *)
+   pruned, presence-aware window collector (Set_intf.Derive). *)
 let range_tests (impl : Vbl_trees.Registry.impl) =
   let module S = (val impl) in
   let mk name fn = Alcotest.test_case (S.name ^ ": " ^ name) `Quick fn in
