@@ -124,10 +124,10 @@ let explore_scenario (module S : Vbl_lists.Set_intf.S) ~initial ~(ops : Ll_abstr
   { Explore.make }
 
 (** A range-read exploration scenario: thread 0 runs [range_query lo hi]
-    (or, when [whole], [to_list] as the window [[lo, hi]] =
+    (or, when [whole], [to_list], judged as the window [[lo, hi]] =
     [[min_int, max_int]]) while thread [i] (1..n) runs the [i]-th op
-    sequence of [ops] in
-    order, so one thread's ops are ordered in real time.  Single-key
+    sequence of [ops] in order, so one thread's ops are ordered in real
+    time.  Single-key
     verdicts cannot judge a multi-key read, so the whole history goes
     through {!Vbl_spec.Multikey.check} instead: every operation is
     recorded as a multikey event against a logical clock (plain refs —

@@ -236,30 +236,28 @@ let explore_tests =
    what the double-collect does filter. *)
 let range_explore_tests =
   let config = { Vbl_sched.Explore.max_executions = 200_000; max_steps = 5_000 } in
-  let range_ok ?(config = config) name impl initial range ops =
+  let explored_ok ?(config = config) ?executions scenario =
+    let r = Vbl_sched.Explore.run ~config scenario in
+    Alcotest.(check bool) "not truncated" false r.Vbl_sched.Explore.truncated;
+    (match r.Vbl_sched.Explore.failure with
+    | None -> ()
+    | Some f -> Alcotest.failf "%a" Vbl_sched.Explore.pp_failure f);
+    Option.iter
+      (fun n -> Alcotest.(check int) "executions" n r.Vbl_sched.Explore.executions)
+      executions
+  in
+  let range_ok ?config name impl initial range ops =
     Alcotest.test_case (name ^ ": range query linearizable") `Slow (fun () ->
-        let scenario = Vbl_sched.Drive.explore_range_scenario impl ~initial ~range ~ops in
-        let r = Vbl_sched.Explore.run ~config scenario in
-        Alcotest.(check bool) "not truncated" false r.Vbl_sched.Explore.truncated;
-        match r.Vbl_sched.Explore.failure with
-        | None -> ()
-        | Some f -> Alcotest.failf "%a" Vbl_sched.Explore.pp_failure f)
+        explored_ok ?config (Vbl_sched.Drive.explore_range_scenario impl ~initial ~range ~ops))
   in
   let module L = Vbl_sched.Ll_abstract in
   let small = { config with Vbl_sched.Explore.max_executions = 64 } in
   let to_list_once name impl executions =
     Alcotest.test_case (name ^ " remove 50; insert 50: to_list keeps 50 once") `Slow
       (fun () ->
-        let scenario =
-          Vbl_sched.Drive.explore_to_list_scenario impl ~initial:[ 30; 50; 60; 70 ]
-            ~ops:[ [ L.remove 50; L.insert 50 ] ]
-        in
-        let r = Vbl_sched.Explore.run ~config scenario in
-        Alcotest.(check bool) "not truncated" false r.Vbl_sched.Explore.truncated;
-        (match r.Vbl_sched.Explore.failure with
-        | None -> ()
-        | Some f -> Alcotest.failf "%a" Vbl_sched.Explore.pp_failure f);
-        Alcotest.(check int) "executions" executions r.Vbl_sched.Explore.executions)
+        explored_ok ~executions
+          (Vbl_sched.Drive.explore_to_list_scenario impl ~initial:[ 30; 50; 60; 70 ]
+             ~ops:[ [ L.remove 50; L.insert 50 ] ]))
   in
   [
     range_ok "vbl-bst"
