@@ -6,14 +6,14 @@
    algorithm's one source (specialised/dune): the functor body with [M]
    bound to the backend, so hot paths call [Real_mem]/[Reclaim_mem]
    statically rather than through a functor argument.  The functors stay
-   the only source, and the instrumented twins below apply them.  The
-   three lock-based lists come from one instance of their shared source
-   per backend. *)
+   the only source, and the instrumented twins below apply them.  Sets
+   that share a node come from one instance of their shared source per
+   backend. *)
 
-module Sequential = Real_seq_list
-module Coarse = Real_coarse_list
-module Hand_over_hand = Real_hoh_list
-module Optimistic = Real_optimistic_list
+module Sequential = Real_seq_list.Sequential
+module Coarse = Real_seq_list.Coarse
+module Hand_over_hand = Real_fine_list.Hand_over_hand
+module Optimistic = Real_fine_list.Optimistic
 module Lazy = Real_lock_list.Lazy
 module Harris_michael_amr = Real_harris_michael
 module Harris_michael_rtti = Real_harris_michael_tagged
@@ -31,12 +31,14 @@ module Harris_michael_reclaim = Reclaim_harris_michael
 module Vbl_reclaim = Reclaim_lock_list.Vbl
 
 module Instr = Vbl_memops.Instr_mem
+module Seq_list_i = Seq_list.Make (Instr)
+module Fine_i = Fine_list.Make (Instr)
 module Lock_i = Lock_list.Make (Instr)
 
-module Seq_i = Seq_list.Make (Instr)
-module Coarse_i = Coarse_list.Make (Instr)
-module Hoh_i = Hoh_list.Make (Instr)
-module Optimistic_i = Optimistic_list.Make (Instr)
+module Seq_i = Seq_list_i.Sequential
+module Coarse_i = Seq_list_i.Coarse
+module Hoh_i = Fine_i.Hand_over_hand
+module Optimistic_i = Fine_i.Optimistic
 module Lazy_i = Lock_i.Lazy
 module Hm_i = Harris_michael.Make (Instr)
 module Hm_tagged_i = Harris_michael_tagged.Make (Instr)

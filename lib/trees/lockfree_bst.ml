@@ -25,7 +25,7 @@
     words do: helpers match the descriptor record physically before
     clearing a flag, so no helper can clear another operation's flag.
 
-    Structure, sentinels and naming follow {!Seq_bst} (["R<key>"]
+    Structure, sentinels and naming follow {!Leaf_bst} (["R<key>"]
     internal nodes; leaves are immutable and unnamed cells-wise).  Range
     operations derive from the shared double-collect over a window
     collector that, like [contains], reads only immutable keys and

@@ -5,14 +5,15 @@ module I = Vbl_memops.Instr_mem
 
 (* Real-backend entries are the build-time direct instances of
    specialised/dune; see Vbl_lists.Registry. *)
-module Sequential_bst = Real_seq_bst
-module Coarse_bst_impl = Real_coarse_bst
-module Lazy_bst_impl = Real_lazy_bst
+module Sequential_bst = Real_leaf_bst.Sequential
+module Coarse_bst_impl = Real_leaf_bst.Coarse
+module Lazy_bst_impl = Real_leaf_bst.Lazy
 module Lockfree_bst_impl = Real_lockfree_bst
 module Vbl_bst_impl = Real_vbl_bst
-module Seq_bst_i = Seq_bst.Make (I)
-module Coarse_bst_i = Coarse_bst.Make (I)
-module Lazy_bst_i = Lazy_bst.Make (I)
+module Leaf_bst_i = Leaf_bst.Make (I)
+module Seq_bst_i = Leaf_bst_i.Sequential
+module Coarse_bst_i = Leaf_bst_i.Coarse
+module Lazy_bst_i = Leaf_bst_i.Lazy
 module Lockfree_bst_i = Lockfree_bst.Make (I)
 module Vbl_bst_i = Vbl_bst.Make (I)
 

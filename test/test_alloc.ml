@@ -183,22 +183,23 @@ let next_level_is_allocation_free () =
    key), present remove and absent remove.  The rows are checked against
    the registries below.
 
-   The walks of vbl, lazy, vbl-postlock, vbl-versioned, the sequential
-   and coarse sets and the BSTs but lockfree-bst are closed recursions,
-   so every operation of theirs allocates nothing but the node an insert
-   links and, on a reclaiming set, the Pool's two cons cells (6 words)
-   per node a remove retires.  The other sets still build a traversal's
-   state: a closure, a tuple of the window, search arrays (the
-   lock-based skip lists' two [max_level] arrays are 17 words each) or a
-   deletion descriptor.
+   The walks of vbl, lazy, vbl-postlock, vbl-versioned, hand-over-hand,
+   optimistic, the sequential and coarse sets and the BSTs but
+   lockfree-bst are closed recursions, so every operation of theirs
+   allocates nothing but the node an insert links and, on a reclaiming
+   set, the Pool's two cons cells (6 words) per node a remove retires.
+   The other sets still build a traversal's state: a closure, a tuple of
+   the window, search arrays (the lock-based skip lists' two [max_level]
+   arrays are 17 words each) or a deletion descriptor.
 
    A fresh insert is the node plus whatever its insert path builds
    around it.  A list node's successor and a node's key are fields of
-   its record, not cells: a sequential node is 3 words, a vbl, lazy or
-   vbl-postlock node 9 (a 5-word record and two 2-word cells, deleted
-   and lock), and a vbl-versioned node 12 (a third cell, its version, in
-   a 6-word record).  The coarse sets add nothing to the sequential set
-   they lock.  The skiplist figures are exact for the shuffled order
+   its record, not cells: a sequential node is 3 words, a hand-over-hand
+   or optimistic node 6 (a 4-word record and its 2-word lock), a vbl,
+   lazy or vbl-postlock node 9 (a 5-word record and two 2-word cells,
+   deleted and lock), and a vbl-versioned node 12 (a third cell, its
+   version, in a 6-word record).  The coarse sets add nothing to the
+   sequential set they lock.  The skiplist figures are exact for the shuffled order
    above (tower heights are drawn from a per-set counter); their
    fraction is the mean tower.  A lazy-skiplist or vbl-skiplist insert is its node (record,
    two cells, lock and tower: about 19 words) plus its two search
@@ -212,14 +213,14 @@ let next_level_is_allocation_free () =
    set but the coarse ones derives [range_query] from its closed window
    collector ([Set_intf.Derive]): two descending collections of 3-word
    cons cells and the reversal of the accepted one, 9 words per key and
-   nothing per query.  The coarse sets query their sequential set under
-   the global lock through a 5-word closure over [hi]. *)
+   nothing per query.  The coarse sets collect once under their global
+   lock and reverse that collection: 6 words per key. *)
 let table =
   [
     ("sequential", 0., 3., 0., 0., 0., 9.);
-    ("coarse", 0., 3., 0., 0., 0., 9.15625);
-    ("hand-over-hand", 9., 15., 9., 9., 9., 9.);
-    ("optimistic", 19., 25., 19., 19., 19., 9.);
+    ("coarse", 0., 3., 0., 0., 0., 6.);
+    ("hand-over-hand", 0., 6., 0., 0., 0., 9.);
+    ("optimistic", 0., 6., 0., 0., 0., 9.);
     ("harris-michael", 0., 16., 5., 13., 5., 9.);
     ("harris-michael-reclaim", 0., 16., 5., 19., 5., 9.);
     ("harris-michael-tagged", 0., 12., 5., 9., 5., 9.);
@@ -234,7 +235,7 @@ let table =
     ("vbl-skiplist", 0., 53.02, 34., 34., 34., 9.);
     ("lockfree-skiplist", 116., 238.04, 220., 382.04, 207., 9.);
     ("sequential-bst", 0., 16., 0., 0., 0., 9.);
-    ("coarse-bst", 0., 16., 0., 0., 0., 9.15625);
+    ("coarse-bst", 0., 16., 0., 0., 0., 6.);
     ("lazy-bst", 0., 16., 0., 0., 0., 9.);
     ("lockfree-bst", 0., 29., 0., 14., 0., 9.);
     ("vbl-bst", 0., 23., 0., 0., 0., 9.);

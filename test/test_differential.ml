@@ -595,8 +595,11 @@ module L = Vbl_lists
 module Sk = Vbl_skiplists
 module Tr = Vbl_trees
 module Lock_skip = Sk.Lock_skiplist.Make (Real)
+module Seq_real = L.Seq_list.Make (Real)
+module Fine_real = L.Fine_list.Make (Real)
 module Lock_real = L.Lock_list.Make (Real)
 module Lock_reclaim = L.Lock_list.Make (Reclaim)
+module Leaf_real = Tr.Leaf_bst.Make (Real)
 
 let twin_case ?(title = "generated instance = functor twin") ?(ops = 4_000)
     ((generated : Vbl_lists.Registry.impl), (twin : Vbl_lists.Registry.impl)) =
@@ -625,10 +628,10 @@ let twin_case ?(title = "generated instance = functor twin") ?(ops = 4_000)
 
 let twins : (Vbl_lists.Registry.impl * Vbl_lists.Registry.impl) list =
   [
-    ((module L.Registry.Sequential), (module L.Seq_list.Make (Real)));
-    ((module L.Registry.Coarse), (module L.Coarse_list.Make (Real)));
-    ((module L.Registry.Hand_over_hand), (module L.Hoh_list.Make (Real)));
-    ((module L.Registry.Optimistic), (module L.Optimistic_list.Make (Real)));
+    ((module L.Registry.Sequential), (module Seq_real.Sequential));
+    ((module L.Registry.Coarse), (module Seq_real.Coarse));
+    ((module L.Registry.Hand_over_hand), (module Fine_real.Hand_over_hand));
+    ((module L.Registry.Optimistic), (module Fine_real.Optimistic));
     ((module L.Registry.Lazy), (module Lock_real.Lazy));
     ((module L.Registry.Harris_michael_amr), (module L.Harris_michael.Make (Real)));
     ((module L.Registry.Harris_michael_rtti), (module L.Harris_michael_tagged.Make (Real)));
@@ -642,9 +645,9 @@ let twins : (Vbl_lists.Registry.impl * Vbl_lists.Registry.impl) list =
     ((module Sk.Registry.Lazy_skip), (module Lock_skip.Lazy));
     ((module Sk.Registry.Vbl_skip), (module Lock_skip.Vbl));
     ((module Sk.Registry.Lockfree_skip), (module Sk.Lockfree_skiplist.Make (Real)));
-    ((module Tr.Registry.Sequential_bst), (module Tr.Seq_bst.Make (Real)));
-    ((module Tr.Registry.Coarse_bst_impl), (module Tr.Coarse_bst.Make (Real)));
-    ((module Tr.Registry.Lazy_bst_impl), (module Tr.Lazy_bst.Make (Real)));
+    ((module Tr.Registry.Sequential_bst), (module Leaf_real.Sequential));
+    ((module Tr.Registry.Coarse_bst_impl), (module Leaf_real.Coarse));
+    ((module Tr.Registry.Lazy_bst_impl), (module Leaf_real.Lazy));
     ((module Tr.Registry.Lockfree_bst_impl), (module Tr.Lockfree_bst.Make (Real)));
     ((module Tr.Registry.Vbl_bst_impl), (module Tr.Vbl_bst.Make (Real)));
   ]

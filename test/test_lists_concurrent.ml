@@ -140,7 +140,8 @@ let canary =
         invariants <> Ok () || not linearizable
       in
       let module I = Vbl_memops.Instr_mem in
-      let seq = (module Vbl_lists.Seq_list.Make (I) : Vbl_lists.Set_intf.S) in
+      let module Seq = Vbl_lists.Seq_list.Make (I) in
+      let seq = (module Seq.Sequential : Vbl_lists.Set_intf.S) in
       let module Lock = Vbl_lists.Lock_list.Make (I) in
       let control = (module Lock.Lazy : Vbl_lists.Set_intf.S) in
       if not (List.exists (broken seq) seeds) then

@@ -668,12 +668,12 @@ let lockfree_bst_fixed_tree_test =
     (module Vbl_trees.Registry.Lockfree_bst_impl)
     [ (5, 0, 0); (4, 0, 0); (4, 0, 0); (4, 0, 0); (4, 0, 0); (5, 0, 0); (4, 0, 0) ]
 
-(* Two inserts race for the one empty slot of a fresh tree: T1 runs its
+(* Two inserts race for the one window of a fresh set: T1 runs its
    descent up to the first access that [stop] names — after the
    descent, before its update — while T0 runs to completion.  T1's
-   window has then moved: it restarts once and links under T0's node.
+   window has then moved: it restarts once and links beside T0's node.
    Returns the summed hops, validated lock acquisitions and restarts. *)
-let bst_forced_restart (module S : Vbl_lists.Set_intf.S) ~stop =
+let forced_restart (module S : Vbl_lists.Set_intf.S) ~stop =
   let t = Instr.run_sequential S.create in
   let counts =
     bst_probe_counts (fun () ->
@@ -706,7 +706,7 @@ let bst_forced_restart_test =
   Alcotest.test_case "vbl-bst: a moved window version restarts the insert" `Quick
     (fun () ->
       let hops, acquisitions, restarts =
-        bst_forced_restart
+        forced_restart
           (module Vbl_trees.Registry.Vbl_bst_i)
           ~stop:(fun a -> a.Instr.name = "N2" && a.Instr.kind = Instr.New_node)
       in
@@ -720,7 +720,7 @@ let lazy_bst_forced_restart_test =
   Alcotest.test_case "lazy-bst: a replaced leaf restarts the insert" `Quick (fun () ->
       Alcotest.(check (triple int int int))
         "hops (1 + 1, then 2), one validated lock each, one restart" (4, 2, 1)
-        (bst_forced_restart
+        (forced_restart
            (module Vbl_trees.Registry.Lazy_bst_i)
            ~stop:(fun a -> a.Instr.kind = Instr.Lock_try));
       Alcotest.(check int) "one validation failure" 1
@@ -733,7 +733,7 @@ let lockfree_bst_forced_restart_test =
     (fun () ->
       Alcotest.(check (triple int int int))
         "hops (2 + 2, then 3), no locks, one restart" (7, 0, 1)
-        (bst_forced_restart
+        (forced_restart
            (module Vbl_trees.Registry.Lockfree_bst_i)
            ~stop:(fun a -> a.Instr.kind = Instr.Cas)))
 
@@ -743,7 +743,10 @@ let lockfree_bst_forced_restart_test =
    it moves to.  vbl decides a failed update before it locks; lazy locks
    [prev] and [curr] and validates both before it decides; vbl-postlock
    locks [prev] before it decides, so its failed insert and absent
-   remove each take the one lock vbl's do not. *)
+   remove each take the one lock vbl's do not.  hand-over-hand locks the
+   head and every node it moves to, one lock more than its hops;
+   optimistic locks and validates its window as lazy does.  Neither has
+   a deletion flag, so a remove unlinks without a logical delete. *)
 let list_ops =
   [
     ("contains 3 (hit)", `Contains, 3);
@@ -765,7 +768,27 @@ let list_counts =
     ( "vbl-postlock",
       [ [ 2; 0; 0; 0; 0 ]; [ 3; 0; 0; 0; 0 ]; [ 2; 1; 0; 0; 0 ]; [ 3; 1; 0; 0; 0 ];
         [ 3; 1; 0; 0; 0 ]; [ 2; 2; 0; 1; 1 ] ] );
+    ( "hand-over-hand",
+      [ [ 2; 3; 0; 0; 0 ]; [ 3; 4; 0; 0; 0 ]; [ 2; 3; 0; 0; 0 ]; [ 3; 4; 0; 0; 0 ];
+        [ 3; 4; 0; 0; 0 ]; [ 2; 3; 0; 0; 1 ] ] );
+    ( "optimistic",
+      [ [ 2; 2; 0; 0; 0 ]; [ 3; 2; 0; 0; 0 ]; [ 2; 2; 0; 0; 0 ]; [ 3; 2; 0; 0; 0 ];
+        [ 3; 2; 0; 0; 0 ]; [ 2; 2; 0; 0; 1 ] ] );
   ]
+
+(* optimistic: T1 stops at its lock on the head, and validates a
+   successor that T0's insert has replaced: one validation failure, and
+   a restart whose walk makes two hops. *)
+let optimistic_forced_restart_test =
+  Alcotest.test_case "optimistic: a replaced successor restarts the insert" `Quick
+    (fun () ->
+      Alcotest.(check (triple int int int))
+        "hops (1 + 1, then 2), one validated window each, one restart" (4, 4, 1)
+        (forced_restart
+           (module Vbl_lists.Registry.Optimistic_i)
+           ~stop:(fun a -> a.Instr.kind = Instr.Lock_try));
+      Alcotest.(check int) "one validation failure" 1
+        (Metrics.get (Metrics.snapshot ()) Validation_failures))
 
 let list_fixed_tests =
   List.map
@@ -835,6 +858,7 @@ let () =
           lazy_bst_forced_restart_test;
           lockfree_bst_fixed_tree_test;
           lockfree_bst_forced_restart_test;
+          optimistic_forced_restart_test;
           exec_trace_test;
         ]
         @ list_fixed_tests );
