@@ -62,7 +62,7 @@ module type S = sig
   (** [range_query t lo hi] returns the present values in the inclusive
       window [lo, hi], ascending.  [lo > hi] yields [[]].  Atomicity is
       per-implementation: genuinely linearizable only where the
-      collection runs in mutual exclusion (the coarse wrappers collect
+      collection runs in mutual exclusion (the coarse sets collect once
       under their global lock).  Everywhere else the operation derives
       from {!Derive} and is best-effort: the traversal repeats until two
       successive collections agree (bounded retries), which filters most
@@ -155,7 +155,7 @@ let[@inline] keep (v : int) (acc : int list) =
     caller: since agreement certifies nothing either, a flag separating
     the two outcomes would carry no semantic weight.  Truly linearizable
     range queries live where a single collection runs in mutual
-    exclusion — the coarse wrappers, which collect under their global
+    exclusion — the coarse sets, which collect once under their global
     lock. *)
 module Derive (Base : sig
   type t

@@ -199,8 +199,8 @@ let next_level_is_allocation_free () =
    lazy or vbl-postlock node 9 (a 5-word record and two 2-word cells,
    deleted and lock), and a vbl-versioned node 12 (a third cell, its
    version, in a 6-word record).  The coarse sets add nothing to the
-   sequential set they lock.  The skiplist figures are exact for the shuffled order
-   above (tower heights are drawn from a per-set counter); their
+   sequential set they lock.  The skiplist figures are exact for the
+   shuffled order above (tower heights are drawn from a per-set counter); their
    fraction is the mean tower.  A lazy-skiplist or vbl-skiplist insert is its node (record,
    two cells, lock and tower: about 19 words) plus its two search
    arrays.  A tree insert allocates only what it links: a 23-word node
